@@ -216,23 +216,86 @@ void BM_VictimSelection(benchmark::State& state) {
 }
 BENCHMARK(BM_VictimSelection)->Arg(60)->Arg(500)->Arg(5000);
 
+/// One virtual tick of interconnect traffic the way the cluster moves
+/// it: `range(0)` messages from 4 sources to 8 destinations, then
+/// TakeArrivals + Deliver per inbox. items/s is messages per second
+/// through the calendar queue.
 void BM_NetworkSendDeliver(benchmark::State& state) {
+  const int per_tick = static_cast<int>(state.range(0));
+  constexpr int kSources = 4;
+  constexpr int kDestinations = 8;
   Network::Config config;
   config.latency_ticks = 1;
   Network net(config);
   int64_t delivered = 0;
-  net.RegisterNode(1, [&delivered](Tick, const Message&) { ++delivered; });
+  for (NodeId n = 0; n < kSources + kDestinations; ++n) {
+    net.RegisterNode(n, [&delivered](Tick, const Message&) { ++delivered; });
+  }
   StatsReport report;
   Tick now = 0;
   for (auto _ : state) {
-    net.Send(MakeStatsReportMessage(0, 1, report), now);
-    net.DeliverUntil(now + 2);
+    for (int i = 0; i < per_tick; ++i) {
+      net.Send(MakeStatsReportMessage(kDestinations + i % kSources,
+                                      i % kDestinations, report),
+               now);
+    }
+    for (Network::Inbox& inbox : net.TakeArrivals(now)) net.Deliver(inbox);
     ++now;
   }
   benchmark::DoNotOptimize(delivered);
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * per_tick);
 }
-BENCHMARK(BM_NetworkSendDeliver);
+BENCHMARK(BM_NetworkSendDeliver)->Arg(1)->Arg(16)->Arg(256);
+
+/// Window eviction in steady state, shaped like one partition group of
+/// the sim-window benchmark workload: 3 streams, 1000 keys, one tuple per
+/// stream every 120 ticks, a 30 s window and a 10 s eviction period, so
+/// each pass expires about a quarter of the group. range(0) = 1 drops
+/// the expired tuples; 0 preserves them in a fresh group, as for a
+/// partition with disk generations. Refilling the period and destroying
+/// the preserved group are not timed. items/s is evicted tuples per
+/// second.
+void BM_EvictBefore(benchmark::State& state) {
+  const bool drop = state.range(0) == 1;
+  constexpr int kStreams = 3;
+  constexpr int kKeys = 1000;
+  constexpr Tick kGap = 120;
+  constexpr Tick kWindow = SecondsToTicks(30);
+  constexpr Tick kPeriod = SecondsToTicks(10);
+  PartitionGroup group(0, kStreams);
+  int64_t seq = 0;
+  Tick filled = 0;
+  auto fill_until = [&](Tick end) {
+    for (; filled < end; filled += kGap) {
+      for (StreamId s = 0; s < kStreams; ++s) {
+        Tuple t = MakeTuple(s, seq, (seq / kStreams) % kKeys, 64);
+        t.timestamp = filled;
+        ++seq;
+        group.ProbeAndInsert(t, nullptr, nullptr, kWindow);
+      }
+    }
+  };
+  Tick now = kWindow + kPeriod;
+  fill_until(now);
+  group.EvictBefore(now - kWindow, nullptr);  // builds the arrival index
+  int64_t evicted = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    now += kPeriod;
+    fill_until(now);
+    PartitionGroup expired(0, kStreams);
+    state.ResumeTiming();
+    evicted += group.EvictBefore(now - kWindow, drop ? nullptr : &expired);
+    state.PauseTiming();
+    {
+      PartitionGroup discard = std::move(expired);
+    }
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(group.tuple_count());
+  state.SetItemsProcessed(evicted);
+}
+BENCHMARK(BM_EvictBefore)->Arg(1)->Arg(0);
 
 void BM_StreamGeneratorEmit(benchmark::State& state) {
   WorkloadConfig config;

@@ -355,29 +355,25 @@ void QueryEngine::DoSpill(Tick now, const std::vector<SpillRequest>& plan,
 void QueryEngine::EvictExpired(Tick now) {
   const Tick cutoff = now - config_.window_ticks;
   if (cutoff <= 0) return;
-  std::vector<StateManager::ExtractedGroup> evicted =
-      mjoin_.state().EvictExpired(cutoff);
-  if (evicted.empty()) return;
-
   // Partitions with disk-resident generations still owe cross-generation
   // results involving the expired tuples; preserve those as eviction
   // generations. Expired tuples of purely memory-resident partitions
-  // produced everything they ever will (window + monotonic arrivals) and
-  // can be dropped.
+  // produced everything they ever will (window + monotonic arrivals), so
+  // the state manager drops them without encoding them.
   std::set<PartitionId> has_disk;
   for (const SpillSegmentMeta& meta : spill_store_.segments()) {
     has_disk.insert(meta.partition);
   }
-  int64_t dropped = 0;
+  StateManager::EvictionPass pass =
+      mjoin_.state().EvictExpired(cutoff, has_disk);
+  const int64_t groups =
+      pass.dropped_groups + static_cast<int64_t>(pass.preserved.size());
+  if (groups == 0) return;
+
+  c_.evicted_tuples->Add(pass.dropped_tuples);
+  int64_t tuples_total = pass.dropped_tuples;
   Tick io_total = 0;
-  int64_t tuples_total = 0;
-  for (StateManager::ExtractedGroup& group : evicted) {
-    if (has_disk.count(group.partition) == 0) {
-      c_.evicted_tuples->Add(group.tuple_count);
-      tuples_total += group.tuple_count;
-      ++dropped;
-      continue;
-    }
+  for (StateManager::ExtractedGroup& group : pass.preserved) {
     StatusOr<Tick> io = spill_store_.WriteSegment(
         group.partition, now, group.blob, group.tuple_count,
         /*evicted=*/true, group.raw_bytes);
@@ -405,12 +401,12 @@ void QueryEngine::EvictExpired(Tick now) {
   if (DCAPE_TRACE_ACTIVE(tracer_)) {
     tracer_->EmitComplete(
         lane(), now, obs::ev::kEvict, io_total,
-        {obs::TraceArg::Int("groups", static_cast<int64_t>(evicted.size())),
+        {obs::TraceArg::Int("groups", groups),
          obs::TraceArg::Int("tuples", tuples_total),
-         obs::TraceArg::Int("dropped", dropped)});
+         obs::TraceArg::Int("dropped", pass.dropped_groups)});
   }
   DCAPE_LOG(kDebug) << "engine " << config_.engine_id << " evicted "
-                    << evicted.size() << " groups (" << dropped
+                    << groups << " groups (" << pass.dropped_groups
                     << " dropped) at t=" << now;
 }
 

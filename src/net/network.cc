@@ -1,14 +1,25 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <iterator>
+#include <limits>
 
 #include "common/check.h"
 
 namespace dcape {
+namespace {
+
+/// Link-FIFO entry of a directed link that has carried nothing yet.
+constexpr Tick kNoArrival = std::numeric_limits<Tick>::min();
+
+}  // namespace
 
 void Network::RegisterNode(NodeId node, Handler handler) {
-  handlers_[node] = std::move(handler);
-  max_registered_node_ = std::max(max_registered_node_, node);
+  DCAPE_CHECK_GE(node, 0);
+  if (static_cast<size_t>(node) >= handlers_.size()) {
+    handlers_.resize(static_cast<size_t>(node) + 1);
+  }
+  handlers_[static_cast<size_t>(node)] = std::move(handler);
 }
 
 void Network::SetFaultHooks(std::function<Tick(const Message&)> extra_delay,
@@ -32,6 +43,8 @@ void Network::Send(Message message, Tick now) {
 }
 
 void Network::Enqueue(Message message, Tick now) {
+  DCAPE_CHECK_GE(message.from, 0);
+  DCAPE_CHECK_GE(message.to, 0);
   message.send_time = now;
 
   const int64_t bytes = message.ByteSize();
@@ -46,12 +59,14 @@ void Network::Enqueue(Message message, Tick now) {
 
   // FIFO per directed link: never schedule ahead of an earlier message on
   // the same link (TCP in-order delivery).
-  const std::pair<NodeId, NodeId> link{message.from, message.to};
-  auto it = link_last_arrival_.find(link);
-  if (it != link_last_arrival_.end()) {
-    arrival = std::max(arrival, it->second);
-  }
-  link_last_arrival_[link] = arrival;
+  const auto from = static_cast<size_t>(message.from);
+  const auto to = static_cast<size_t>(message.to);
+  if (from >= link_last_arrival_.size()) link_last_arrival_.resize(from + 1);
+  std::vector<Tick>& links = link_last_arrival_[from];
+  if (to >= links.size()) links.resize(to + 1, kNoArrival);
+  Tick& last_arrival = links[to];
+  arrival = std::max(arrival, last_arrival);
+  last_arrival = arrival;
 
   stats_.messages_sent += 1;
   stats_.bytes_sent += bytes;
@@ -62,28 +77,54 @@ void Network::Enqueue(Message message, Tick now) {
   const bool duplicate = fault_duplicate_ && fault_duplicate_(message);
   Message copy;
   if (duplicate) copy = message;
-  heap_.push_back(InFlight{arrival, next_sequence_++, std::move(message)});
-  std::push_heap(heap_.begin(), heap_.end(), LaterArrival{});
+  Push(arrival, std::move(message));
   if (duplicate) {
     const Tick dup_arrival = arrival + 1;
-    link_last_arrival_[link] = dup_arrival;
+    last_arrival = dup_arrival;
     stats_.messages_sent += 1;
     stats_.bytes_sent += bytes;
-    heap_.push_back(InFlight{dup_arrival, next_sequence_++, std::move(copy)});
-    std::push_heap(heap_.begin(), heap_.end(), LaterArrival{});
+    Push(dup_arrival, std::move(copy));
   }
 }
 
-Network::InFlight Network::PopEarliest() {
-  std::pop_heap(heap_.begin(), heap_.end(), LaterArrival{});
-  InFlight item = std::move(heap_.back());
-  heap_.pop_back();
-  return item;
+void Network::Push(Tick arrival, Message message) {
+  // New arrivals are almost always at or past the newest bucket, so the
+  // search runs from the back.
+  auto it = calendar_.end();
+  while (it != calendar_.begin() && std::prev(it)->arrival > arrival) --it;
+  if (it != calendar_.begin() && std::prev(it)->arrival == arrival) {
+    std::prev(it)->messages.push_back(std::move(message));
+    return;
+  }
+  std::vector<Message> messages;
+  if (!spare_.empty()) {
+    messages = std::move(spare_.back());
+    spare_.pop_back();
+  }
+  messages.push_back(std::move(message));
+  calendar_.insert(it, Bucket{arrival, std::move(messages)});
+}
+
+std::vector<Message> Network::PopHead() {
+  std::vector<Message> messages = std::move(calendar_.front().messages);
+  calendar_.pop_front();
+  return messages;
+}
+
+void Network::Recycle(std::vector<Message> messages) {
+  messages.clear();
+  spare_.push_back(std::move(messages));
+}
+
+const Network::Handler& Network::HandlerFor(NodeId node) const {
+  DCAPE_CHECK(node >= 0 && static_cast<size_t>(node) < handlers_.size() &&
+              handlers_[static_cast<size_t>(node)]);
+  return handlers_[static_cast<size_t>(node)];
 }
 
 void Network::BeginBuffered() {
   DCAPE_CHECK(!buffered_);
-  outboxes_.resize(static_cast<size_t>(max_registered_node_ + 1));
+  outboxes_.resize(handlers_.size());
   buffered_ = true;
 }
 
@@ -103,48 +144,70 @@ void Network::FlushBuffered() {
 
 void Network::DeliverUntil(Tick now) {
   DCAPE_CHECK(!buffered_);
-  while (!heap_.empty() && heap_.front().arrival <= now) {
-    InFlight item = PopEarliest();
-    auto it = handlers_.find(item.message.to);
-    DCAPE_CHECK(it != handlers_.end());
-    it->second(item.arrival, item.message);
+  while (!calendar_.empty() && calendar_.front().arrival <= now) {
+    // The head bucket leaves the calendar before its first handler runs:
+    // a handler sending into the same tick opens a fresh head bucket,
+    // which the loop delivers next — after this bucket, as its sequence
+    // numbers demand.
+    const Tick arrival = calendar_.front().arrival;
+    std::vector<Message> messages = PopHead();
+    for (Message& message : messages) {
+      HandlerFor(message.to)(arrival, message);
+    }
+    Recycle(std::move(messages));
   }
 }
 
 std::vector<Network::Inbox> Network::TakeArrivals(Tick now) {
   DCAPE_CHECK(!buffered_);
-  std::vector<InFlight> due;
-  while (!heap_.empty() && heap_.front().arrival <= now) {
-    due.push_back(PopEarliest());
-  }
-  // Group by destination; `due` is already in (arrival, sequence) order,
-  // and stable_sort by destination preserves it within each inbox.
-  std::stable_sort(due.begin(), due.end(),
-                   [](const InFlight& a, const InFlight& b) {
-                     return a.message.to < b.message.to;
-                   });
-  std::vector<Inbox> inboxes;
-  for (InFlight& item : due) {
-    if (inboxes.empty() || inboxes.back().node != item.message.to) {
-      inboxes.push_back(Inbox{item.message.to, {}});
+  size_t due = 0;
+  size_t nodes = 0;
+  for (; due < calendar_.size() && calendar_[due].arrival <= now; ++due) {
+    for (const Message& m : calendar_[due].messages) {
+      nodes = std::max(nodes, static_cast<size_t>(m.to) + 1);
     }
-    inboxes.back().deliveries.push_back(
-        Delivery{item.arrival, std::move(item.message)});
+  }
+  // Group by destination without sorting: count each node's deliveries,
+  // open the inboxes in ascending node order, then move every message
+  // once into its inbox. Walking the due buckets in order keeps each
+  // inbox in (arrival, sequence) order.
+  inbox_of_node_.assign(nodes, 0);
+  for (size_t b = 0; b < due; ++b) {
+    for (const Message& m : calendar_[b].messages) {
+      ++inbox_of_node_[static_cast<size_t>(m.to)];
+    }
+  }
+  std::vector<Inbox> inboxes;
+  for (size_t node = 0; node < nodes; ++node) {
+    const int32_t count = inbox_of_node_[node];
+    if (count == 0) continue;
+    inbox_of_node_[node] = static_cast<int32_t>(inboxes.size());
+    inboxes.push_back(Inbox{static_cast<NodeId>(node), {}});
+    inboxes.back().deliveries.reserve(static_cast<size_t>(count));
+  }
+  for (size_t b = 0; b < due; ++b) {
+    const Tick arrival = calendar_.front().arrival;
+    std::vector<Message> messages = PopHead();
+    for (Message& m : messages) {
+      Inbox& inbox = inboxes[static_cast<size_t>(
+          inbox_of_node_[static_cast<size_t>(m.to)])];
+      inbox.deliveries.push_back(Delivery{arrival, std::move(m)});
+    }
+    Recycle(std::move(messages));
   }
   return inboxes;
 }
 
 void Network::Deliver(Inbox& inbox) const {
-  auto it = handlers_.find(inbox.node);
-  DCAPE_CHECK(it != handlers_.end());
+  const Handler& handler = HandlerFor(inbox.node);
   for (Delivery& d : inbox.deliveries) {
-    it->second(d.arrival, d.message);
+    handler(d.arrival, d.message);
   }
 }
 
 Tick Network::NextArrival() const {
-  if (heap_.empty()) return -1;
-  return heap_.front().arrival;
+  if (calendar_.empty()) return -1;
+  return calendar_.front().arrival;
 }
 
 }  // namespace dcape

@@ -2,9 +2,8 @@
 #define DCAPE_NET_NETWORK_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -21,10 +20,22 @@ namespace dcape {
 /// Stands in for the paper's private gigabit Ethernet. Messages incur a
 /// fixed per-message latency plus a size-proportional transfer time
 /// (`bytes / bytes_per_tick`). Delivery is deterministic: messages are
-/// ordered by (arrival tick, global sequence number), and each directed
+/// ordered by (arrival tick, global send sequence), and each directed
 /// link (from → to) is FIFO — a later message never overtakes an earlier
 /// one on the same link, exactly like a TCP connection. The relocation
 /// protocol's drain markers rely on that FIFO property.
+///
+/// The queue is a calendar queue: latencies are whole ticks, so every
+/// queued message sits in the bucket of its arrival tick, and buckets are
+/// kept in ascending tick order with no empty ones. A bucket is appended
+/// in send order, which *is* sequence order, so (arrival, sequence)
+/// delivery needs no comparisons at all: a send costs one bucket lookup
+/// from the back (almost always the last or second-to-last bucket) and one
+/// move, and delivery moves each message once more. An arrival earlier
+/// than the head bucket — a short message behind a multi-tick state
+/// transfer on an otherwise idle queue — opens a new head bucket. Drained
+/// bucket vectors are recycled, so the queue itself stops allocating once
+/// it has seen its busiest tick.
 ///
 /// Parallel stepping support: during the concurrent phase of a virtual
 /// tick the driver switches the network into *buffered* mode
@@ -98,8 +109,9 @@ class Network : public Transport {
 
   /// Delivers every message whose arrival tick is <= `now`, in
   /// deterministic order. Handlers may send further messages; those are
-  /// delivered too if they also arrive by `now`. Must not be called in
-  /// buffered mode (drivers use TakeArrivals/Deliver there).
+  /// delivered too if they also arrive by `now` (after every message
+  /// already due at their arrival tick). Must not be called in buffered
+  /// mode (drivers use TakeArrivals/Deliver there).
   void DeliverUntil(Tick now);
 
   /// Switches Send into buffered (per-source outbox) mode. Concurrent
@@ -109,8 +121,9 @@ class Network : public Transport {
 
   /// Merges every outbox into the global queue in (source node id, send
   /// order) order and leaves buffered mode. Arrival times, link-FIFO
-  /// clamping, sequence numbers, and traffic stats are all applied here,
-  /// at the barrier, so they are independent of task interleaving.
+  /// clamping, send sequence (bucket order), and traffic stats are all
+  /// applied here, at the barrier, so they are independent of task
+  /// interleaving.
   void FlushBuffered();
 
   /// Removes every queued message with arrival tick <= `now` and returns
@@ -125,7 +138,7 @@ class Network : public Transport {
   void Deliver(Inbox& inbox) const;
 
   /// True when no message is queued (outboxes must be flushed).
-  bool idle() const { return heap_.empty(); }
+  bool idle() const { return calendar_.empty(); }
 
   /// Earliest queued arrival tick, or -1 when idle. Lets drivers fast-
   /// forward quiet periods.
@@ -135,42 +148,45 @@ class Network : public Transport {
   const Config& config() const { return config_; }
 
  private:
-  struct InFlight {
+  /// Every queued message with one arrival tick, in send order.
+  struct Bucket {
     Tick arrival;
-    int64_t sequence;  // global tie-breaker for determinism
-    Message message;
-  };
-  struct LaterArrival {
-    bool operator()(const InFlight& a, const InFlight& b) const {
-      // std::*_heap build max-heaps; invert for earliest-first.
-      if (a.arrival != b.arrival) return a.arrival > b.arrival;
-      return a.sequence > b.sequence;
-    }
+    std::vector<Message> messages;
   };
   struct BufferedSend {
     Message message;
     Tick send_time;
   };
 
-  /// Assigns arrival/sequence and pushes onto the delivery heap.
+  /// Assigns the arrival tick (latency, transfer, jitter, link FIFO),
+  /// counts the traffic and queues the message.
   void Enqueue(Message message, Tick now);
-  /// Pops the earliest in-flight message off the heap.
-  InFlight PopEarliest();
+  /// Appends `message` to the bucket of `arrival`, opening the bucket in
+  /// tick order if it does not exist yet.
+  void Push(Tick arrival, Message message);
+  /// Removes the head bucket and returns its messages; hand the vector
+  /// back through Recycle once they are consumed.
+  std::vector<Message> PopHead();
+  void Recycle(std::vector<Message> messages);
+  const Handler& HandlerFor(NodeId node) const;
 
   Config config_;
-  std::map<NodeId, Handler> handlers_;
+  /// handlers_[node]; an empty function marks an unregistered node.
+  std::vector<Handler> handlers_;
   std::function<Tick(const Message&)> fault_extra_delay_;
   std::function<bool(const Message&)> fault_duplicate_;
-  /// Min-heap over (arrival, sequence), via std::push_heap/std::pop_heap
-  /// so entries can be *moved* out on delivery.
-  std::vector<InFlight> heap_;
-  /// Last scheduled arrival per directed link, for FIFO enforcement.
-  std::map<std::pair<NodeId, NodeId>, Tick> link_last_arrival_;
+  /// The calendar: one bucket per queued arrival tick, ascending.
+  std::deque<Bucket> calendar_;
+  /// Drained bucket vectors kept for reuse (their capacity survives).
+  std::vector<std::vector<Message>> spare_;
+  /// link_last_arrival_[from][to] = last scheduled arrival on that
+  /// directed link, for FIFO enforcement (kNoArrival when unused).
+  std::vector<std::vector<Tick>> link_last_arrival_;
   /// outboxes_[source node] = sends parked during buffered mode.
   std::vector<std::vector<BufferedSend>> outboxes_;
-  NodeId max_registered_node_ = -1;
+  /// TakeArrivals scratch: per destination node, its inbox index.
+  std::vector<int32_t> inbox_of_node_;
   bool buffered_ = false;
-  int64_t next_sequence_ = 0;
   Stats stats_;
 };
 

@@ -304,10 +304,10 @@ void Cluster::SampleIfDue(Tick now, bool force) {
 }
 
 void Cluster::RunUntil(Tick end) {
-  for (Tick t = clock_.now(); t <= end; ++t) {
-    clock_.AdvanceTo(t);
-    StepTick(t, /*generate=*/true);
-    SampleIfDue(t);
+  for (; next_tick_ <= end; ++next_tick_) {
+    clock_.AdvanceTo(next_tick_);
+    StepTick(next_tick_, /*generate=*/true);
+    SampleIfDue(next_tick_);
   }
 }
 
@@ -338,6 +338,7 @@ void Cluster::Drain() {
     if (Quiescent(t)) break;
   }
   DCAPE_CHECK_LT(t, cap);  // pipeline failed to quiesce
+  next_tick_ = t + 1;
   SampleIfDue(clock_.now(), /*force=*/true);
   draining_ = false;
 }

@@ -44,8 +44,10 @@ class Cluster {
   /// and counters.
   RunResult Run();
 
-  /// Advances virtual time to `end` with the generator on. May be called
-  /// repeatedly (tests drive phases manually).
+  /// Steps every tick from the first one not yet stepped through `end`
+  /// with the generator on. May be called repeatedly (tests drive phases
+  /// manually): RunUntil(a) then RunUntil(b) steps exactly the ticks
+  /// RunUntil(b) alone would.
   void RunUntil(Tick end);
 
   /// Stops generation and advances time until the pipeline is quiescent
@@ -147,6 +149,8 @@ class Cluster {
   ResultSink sink_;
   std::unique_ptr<GroupByAggregate> aggregate_;
   VirtualClock clock_;
+  /// The first tick RunUntil/Drain has not stepped yet.
+  Tick next_tick_ = 0;
   /// cleanup.* gauges, registered on the first RunCleanup (streaming
   /// pipeline observability; all zero under --cleanup-mode=materialize).
   obs::Gauge* cleanup_peak_gauge_ = nullptr;

@@ -107,49 +107,102 @@ int64_t PartitionGroup::ProbeAndInsert(const Tuple& tuple,
 }
 
 int64_t PartitionGroup::EvictBefore(Tick cutoff, PartitionGroup* evicted) {
-  DCAPE_CHECK(evicted != nullptr);
-  DCAPE_CHECK_EQ(evicted->partition(), partition_);
-  DCAPE_CHECK_EQ(evicted->num_streams(), num_streams_);
+  if (evicted != nullptr) {
+    DCAPE_CHECK_EQ(evicted->partition(), partition_);
+    DCAPE_CHECK_EQ(evicted->num_streams(), num_streams_);
+  }
+  if (!indexed()) BuildArrivalIndex();
   int64_t moved = 0;
   for (int s = 0; s < num_streams_; ++s) {
-    auto& table = tables_[static_cast<size_t>(s)];
-    for (auto it = table.begin(); it != table.end();) {
-      std::vector<Tuple>& tuples = it->second;
-      // In-place stable compaction: expired tuples move to `evicted`,
-      // survivors slide left. No temporary vector per bucket.
-      size_t write = 0;
-      for (size_t read = 0; read < tuples.size(); ++read) {
-        Tuple& t = tuples[read];
-        if (t.timestamp < cutoff) {
-          bytes_ -= t.ByteSize();
-          tuple_count_ -= 1;
-          ++moved;
-          evicted->InsertOnly(std::move(t));
-        } else {
-          if (write != read) tuples[write] = std::move(t);
-          ++write;
-        }
+    std::deque<ArrivalBucket>& index = arrivals_[static_cast<size_t>(s)];
+    while (!index.empty() && index.front().id * kIndexBucketTicks < cutoff) {
+      const ArrivalBucket& bucket = index.front();
+      // The first entry of a key evicts all of its expired tuples; any
+      // later entry finds nothing older than the cutoff.
+      for (JoinKey key : bucket.keys) {
+        moved += EvictKey(s, key, cutoff, evicted);
       }
-      if (write == 0) {
-        it = table.erase(it);
-      } else {
-        tuples.resize(write);
-        ++it;
-      }
-    }
-  }
-  if (moved > 0 && !last_touch_.empty()) {
-    // Prune access-clock entries for keys that vanished from every
-    // stream, so the clock map tracks the live key set.
-    for (auto it = last_touch_.begin(); it != last_touch_.end();) {
-      bool present = false;
-      for (int s = 0; s < num_streams_ && !present; ++s) {
-        present = tables_[static_cast<size_t>(s)].count(it->first) > 0;
-      }
-      it = present ? std::next(it) : last_touch_.erase(it);
+      // A partly expired bucket stays for the next pass; its successors
+      // start at or after the cutoff.
+      if ((bucket.id + 1) * kIndexBucketTicks > cutoff) break;
+      index.pop_front();
     }
   }
   return moved;
+}
+
+int64_t PartitionGroup::EvictKey(StreamId s, JoinKey key, Tick cutoff,
+                                 PartitionGroup* evicted) {
+  auto& table = tables_[static_cast<size_t>(s)];
+  auto it = table.find(key);
+  if (it == table.end()) return 0;
+  std::vector<Tuple>& tuples = it->second;
+  // In-place stable compaction: expired tuples leave, survivors slide
+  // left. No temporary vector per bucket.
+  int64_t moved = 0;
+  size_t write = 0;
+  for (size_t read = 0; read < tuples.size(); ++read) {
+    Tuple& t = tuples[read];
+    if (t.timestamp < cutoff) {
+      bytes_ -= t.ByteSize();
+      tuple_count_ -= 1;
+      ++moved;
+      if (evicted != nullptr) evicted->InsertOnly(std::move(t));
+    } else {
+      if (write != read) tuples[write] = std::move(t);
+      ++write;
+    }
+  }
+  if (write > 0) {
+    tuples.resize(write);
+    return moved;
+  }
+  table.erase(it);
+  // The access clock tracks the live key set: drop the entry once the
+  // key is gone from every stream.
+  bool present = false;
+  for (int other = 0; other < num_streams_ && !present; ++other) {
+    present = tables_[static_cast<size_t>(other)].count(key) > 0;
+  }
+  if (!present) last_touch_.erase(key);
+  return moved;
+}
+
+void PartitionGroup::BuildArrivalIndex() {
+  arrivals_.resize(static_cast<size_t>(num_streams_));
+  std::vector<std::pair<Tick, JoinKey>> entries;
+  for (int s = 0; s < num_streams_; ++s) {
+    entries.clear();
+    // dcape-lint: allow(unordered-net) — entries are sorted below; the
+    // index order is (timestamp, key), not hash-ordered.
+    for (const auto& [key, tuples] : tables_[static_cast<size_t>(s)]) {
+      for (const Tuple& t : tuples) entries.emplace_back(t.timestamp, key);
+    }
+    std::sort(entries.begin(), entries.end());
+    for (const auto& [ts, key] : entries) IndexArrival(s, key, ts);
+  }
+}
+
+void PartitionGroup::IndexArrival(StreamId s, JoinKey key, Tick ts) {
+  const int64_t id = ts >> kIndexBucketShift;
+  std::deque<ArrivalBucket>& index = arrivals_[static_cast<size_t>(s)];
+  // Arrivals are nearly monotonic, so the search runs from the back; a
+  // late tuple lands in the (possibly new) bucket of its own timestamp.
+  auto it = index.end();
+  while (it != index.begin() && std::prev(it)->id > id) --it;
+  if (it != index.begin() && std::prev(it)->id == id) {
+    std::prev(it)->keys.push_back(key);
+    return;
+  }
+  // Opening a new newest bucket closes the previous one to all but late
+  // arrivals: give back its growth slack (the index's main memory cost).
+  if (it == index.end() && !index.empty()) index.back().keys.shrink_to_fit();
+  index.insert(it, ArrivalBucket{id, {key}});
+}
+
+void PartitionGroup::IndexTuples(StreamId s, JoinKey key,
+                                 const std::vector<Tuple>& tuples) {
+  for (const Tuple& t : tuples) IndexArrival(s, key, t.timestamp);
 }
 
 void PartitionGroup::InsertOnly(const Tuple& tuple) {
@@ -157,6 +210,7 @@ void PartitionGroup::InsertOnly(const Tuple& tuple) {
   DCAPE_CHECK_LT(tuple.stream_id, num_streams_);
   bytes_ += tuple.ByteSize();
   tuple_count_ += 1;
+  if (indexed()) IndexArrival(tuple.stream_id, tuple.join_key, tuple.timestamp);
   tables_[static_cast<size_t>(tuple.stream_id)][tuple.join_key].push_back(
       tuple);
 }
@@ -166,6 +220,7 @@ void PartitionGroup::InsertOnly(Tuple&& tuple) {
   DCAPE_CHECK_LT(tuple.stream_id, num_streams_);
   bytes_ += tuple.ByteSize();
   tuple_count_ += 1;
+  if (indexed()) IndexArrival(tuple.stream_id, tuple.join_key, tuple.timestamp);
   auto& bucket = tables_[static_cast<size_t>(tuple.stream_id)][tuple.join_key];
   bucket.push_back(std::move(tuple));
 }
@@ -176,6 +231,9 @@ void PartitionGroup::MergeFrom(PartitionGroup&& other) {
   for (int s = 0; s < num_streams_; ++s) {
     auto& dst = tables_[static_cast<size_t>(s)];
     for (auto& [key, tuples] : other.tables_[static_cast<size_t>(s)]) {
+      // Relocated state is older than what arrived here meanwhile; the
+      // index files it under its own timestamps.
+      if (indexed()) IndexTuples(s, key, tuples);
       auto& bucket = dst[key];
       bucket.insert(bucket.end(), std::make_move_iterator(tuples.begin()),
                     std::make_move_iterator(tuples.end()));
@@ -194,6 +252,7 @@ void PartitionGroup::MergeFrom(PartitionGroup&& other) {
   access_clock_ = std::max(access_clock_, other.access_clock_);
   other.tables_.clear();
   other.last_touch_.clear();
+  other.arrivals_.clear();
   other.bytes_ = 0;
   other.tuple_count_ = 0;
   other.outputs_ = 0;
@@ -209,6 +268,9 @@ int64_t PartitionGroup::MoveKeyTo(JoinKey key, PartitionGroup* dst) {
     int64_t bucket_bytes = 0;
     for (const Tuple& t : it->second) bucket_bytes += t.ByteSize();
     const int64_t bucket_tuples = static_cast<int64_t>(it->second.size());
+    // The source's index entries for `key` go stale, which eviction
+    // tolerates; the destination's must cover the moved tuples.
+    if (dst->indexed()) dst->IndexTuples(s, key, it->second);
     auto& dst_bucket = dst->tables_[static_cast<size_t>(s)][key];
     if (dst_bucket.empty()) {
       dst_bucket = std::move(it->second);
@@ -304,6 +366,15 @@ PartitionGroup PartitionGroup::SplitBySecondaryHashBit(int bit) {
     if ((SecondaryKeyHash(key) >> bit) & 1ULL) MoveKeyTo(key, &high);
   }
   return high;
+}
+
+std::vector<JoinKey> PartitionGroup::TouchedKeys() const {
+  std::vector<JoinKey> keys;
+  keys.reserve(last_touch_.size());
+  // dcape-lint: allow(unordered-net) — sorted before it is returned.
+  for (const auto& [key, touch] : last_touch_) keys.push_back(key);
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 int64_t PartitionGroup::DistinctKeyCount() const {

@@ -2,6 +2,7 @@
 #define DCAPE_STATE_PARTITION_GROUP_H_
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,9 +73,15 @@ class PartitionGroup {
       const ResultProjection* projection = nullptr, Tick window_ticks = 0);
 
   /// Moves every tuple with timestamp < `cutoff` into `evicted` (a group
-  /// of the same partition/stream count). Returns the number of evicted
-  /// tuples; byte/tuple accounting moves with them. Output counters stay
-  /// with this group.
+  /// of the same partition/stream count), or destroys them when
+  /// `evicted` is null. Returns the number of evicted tuples; byte/tuple
+  /// accounting moves with them. Output counters stay with this group.
+  ///
+  /// The first call builds a per-stream arrival index (join keys bucketed
+  /// by timestamp, kIndexBucketTicks per bucket) that every later insert
+  /// maintains, so a pass touches only the buckets that expire and the
+  /// keys they name; groups that are never evicted never pay for the
+  /// index. Within a key, evicted tuples keep their arrival order.
   int64_t EvictBefore(Tick cutoff, PartitionGroup* evicted);
 
   /// Inserts without probing (used when rebuilding state during cleanup).
@@ -145,6 +152,18 @@ class PartitionGroup {
   /// disk cursors, which decode segments in key-sorted section order.
   std::vector<JoinKey> SortedKeysForStream(StreamId stream) const;
 
+  /// The keys that carry an access-clock entry, ascending. Every one of
+  /// them has tuples in some stream: insertion sets the entry, and moving
+  /// or evicting a key's last tuple drops it.
+  std::vector<JoinKey> TouchedKeys() const;
+
+  /// Timestamp width of one arrival-index bucket (see EvictBefore), 2048
+  /// ticks: wide enough that a bucket's vector amortizes its overhead
+  /// over many tuples, narrow against the default 10 s eviction period,
+  /// so the one partly expired bucket a pass re-reads stays small.
+  static constexpr int kIndexBucketShift = 11;
+  static constexpr Tick kIndexBucketTicks = Tick{1} << kIndexBucketShift;
+
   PartitionId partition() const { return partition_; }
   int num_streams() const { return num_streams_; }
   int64_t bytes() const { return bytes_; }
@@ -170,6 +189,28 @@ class PartitionGroup {
   /// bytes moved.
   int64_t MoveKeyTo(JoinKey key, PartitionGroup* dst);
 
+  /// One arrival-index bucket: the join key of every indexed tuple whose
+  /// timestamp falls in [id, id + 1) * kIndexBucketTicks, one entry per
+  /// tuple, in no particular order.
+  struct ArrivalBucket {
+    int64_t id;
+    std::vector<JoinKey> keys;
+  };
+  bool indexed() const { return !arrivals_.empty(); }
+  /// Builds the arrival index from the tables (first EvictBefore).
+  void BuildArrivalIndex();
+  /// Records a tuple of `key` with timestamp `ts` in stream `s`'s index,
+  /// in the bucket of its timestamp — also when that bucket is older
+  /// than the newest one (late relocation flushes, merges).
+  void IndexArrival(StreamId s, JoinKey key, Tick ts);
+  /// Indexes every tuple of `tuples` (a bucket moved or merged in).
+  void IndexTuples(StreamId s, JoinKey key, const std::vector<Tuple>& tuples);
+  /// Moves (or, with null `evicted`, destroys) the tuples of `key` in
+  /// stream `s` older than `cutoff`, erasing the emptied bucket and the
+  /// key's access-clock entry once no stream holds it. Returns the count.
+  int64_t EvictKey(StreamId s, JoinKey key, Tick cutoff,
+                   PartitionGroup* evicted);
+
   PartitionId partition_;
   int num_streams_;
   /// tables_[s][key] = tuples of stream s with that join key.
@@ -182,6 +223,11 @@ class PartitionGroup {
   /// tick number. Never serialized — a restored generation starts cold.
   int64_t access_clock_ = 0;
   std::unordered_map<JoinKey, int64_t> last_touch_;
+  /// arrivals_[s] = stream s's arrival index, buckets ascending by id and
+  /// never empty. Empty (no per-stream deques at all) until the first
+  /// EvictBefore. May name keys that have since moved out or expired:
+  /// eviction re-checks timestamps, so a stale entry costs one lookup.
+  std::vector<std::deque<ArrivalBucket>> arrivals_;
   /// Reusable probe scratch: match list per stream and the odometer
   /// cursor. Members so the per-tuple hot path never heap-allocates.
   std::vector<const std::vector<Tuple>*> probe_matches_;

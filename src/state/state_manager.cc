@@ -169,28 +169,31 @@ Status StateManager::InstallGroup(std::string_view blob) {
   return Status::OK();
 }
 
-std::vector<StateManager::ExtractedGroup> StateManager::EvictExpired(
-    Tick cutoff) {
-  std::vector<ExtractedGroup> evicted;
+StateManager::EvictionPass StateManager::EvictExpired(
+    Tick cutoff, const std::set<PartitionId>& preserve) {
+  EvictionPass pass;
   std::vector<PartitionId> emptied;
   for (auto& [partition, group] : groups_) {
-    PartitionGroup expired(partition, num_streams_);
+    const bool keep = preserve.count(partition) > 0;
+    std::optional<PartitionGroup> expired;
+    if (keep) expired.emplace(partition, num_streams_);
     const int64_t bytes_before = group->bytes();
-    const int64_t moved = group->EvictBefore(cutoff, &expired);
+    const int64_t moved =
+        group->EvictBefore(cutoff, keep ? &*expired : nullptr);
     if (moved == 0) continue;
     total_bytes_ -= bytes_before - group->bytes();
     total_tuples_ -= moved;
-    ExtractedGroup out;
-    out.partition = partition;
-    out.bytes = expired.bytes();
-    out.raw_bytes = expired.SerializedByteSize();
-    out.tuple_count = expired.tuple_count();
-    expired.Serialize(&out.blob, segment_format_);
-    evicted.push_back(std::move(out));
+    if (keep) {
+      pass.preserved.push_back(
+          SerializePiece(std::move(*expired), /*partial=*/false, 0));
+    } else {
+      ++pass.dropped_groups;
+      pass.dropped_tuples += moved;
+    }
     if (group->empty()) emptied.push_back(partition);
   }
   for (PartitionId p : emptied) groups_.erase(p);
-  return evicted;
+  return pass;
 }
 
 void StateManager::LockGroups(const std::vector<PartitionId>& partitions) {

@@ -59,14 +59,26 @@ class StateManager {
     int sub_depth = 0;
   };
 
-  /// Moves every tuple older than `cutoff` out of the resident groups.
+  /// What one window-eviction pass removed.
+  struct EvictionPass {
+    /// One serialized evicted group per preserved partition that lost
+    /// tuples, in ascending partition order.
+    std::vector<ExtractedGroup> preserved;
+    /// Partitions outside the preserve set that lost tuples, and how
+    /// many; their tuples were destroyed without being encoded.
+    int64_t dropped_groups = 0;
+    int64_t dropped_tuples = 0;
+  };
+
+  /// Removes every tuple older than `cutoff` from the resident groups.
   /// Such tuples can never join future arrivals (arrival timestamps are
   /// monotonic), so removing them is output-transparent for the run-time
-  /// phase; the caller decides whether the evicted groups must be
-  /// preserved for cleanup (they must iff disk generations exist for the
-  /// partition). Returns one serialized evicted group per affected
-  /// partition.
-  std::vector<ExtractedGroup> EvictExpired(Tick cutoff);
+  /// phase. The caller names the partitions whose expired tuples must be
+  /// preserved for cleanup (those with disk generations): each of them
+  /// comes back serialized, and every other partition drops its expired
+  /// tuples on the spot. Emptied groups are removed.
+  EvictionPass EvictExpired(Tick cutoff,
+                            const std::set<PartitionId>& preserve);
 
   /// Routes `tuple` into its partition group (creating it on first touch),
   /// probing for join results first. Returns the number of results

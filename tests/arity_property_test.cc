@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "runtime/cluster.h"
 #include "tests/test_util.h"
 
@@ -60,7 +62,12 @@ TEST_P(ArityExactness, ResultsHaveOneMemberPerStream) {
 INSTANTIATE_TEST_SUITE_P(AritySweep, ArityExactness,
                          ::testing::Values(2, 4, 5),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "m" + std::to_string(info.param);
+                           // Appending to an owned string, rather than
+                           // "m" + std::to_string(...), sidesteps a GCC 12
+                           // -Werror=restrict false positive at -O3.
+                           std::string name(1, 'm');
+                           name += std::to_string(info.param);
+                           return name;
                          });
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "net/message.h"
@@ -176,6 +178,241 @@ TEST_F(NetworkTest, HandlersCanSendDuringDelivery) {
   net.Send(SmallMessage(0, 1), 0);
   net.DeliverUntil(10);
   EXPECT_EQ(second_hop_at, 4);  // two hops of latency 1 + transfer 1
+}
+
+// ---- Calendar-queue ordering ----------------------------------------
+
+/// A StatsReport whose `engine` field tags the message, so tests can
+/// read the delivery order back.
+Message TaggedMessage(NodeId from, NodeId to, int tag) {
+  StatsReport report;
+  report.engine = tag;
+  return MakeStatsReportMessage(from, to, report);
+}
+
+int TagOf(const Message& m) { return std::get<StatsReport>(m.payload).engine; }
+
+struct Arrival {
+  NodeId node;
+  Tick at;
+  int tag;
+  bool operator==(const Arrival& o) const {
+    return node == o.node && at == o.at && tag == o.tag;
+  }
+};
+
+void RegisterTagged(Network* net, NodeId node, std::vector<Arrival>* log) {
+  net->RegisterNode(node, [log, node](Tick now, const Message& m) {
+    log->push_back({node, now, TagOf(m)});
+  });
+}
+
+TEST(NetworkCalendarTest, ArrivalEarlierThanHeadBucketAfterLargeTransfer) {
+  Network::Config config;
+  config.latency_ticks = 1;
+  config.bytes_per_tick = 100;
+  Network net(config);
+  std::vector<Arrival> log;
+  net.RegisterNode(1, [&log](Tick now, const Message& m) {
+    log.push_back({1, now, m.type == MessageType::kStateTransfer ? -1
+                                                                   : TagOf(m)});
+  });
+  RegisterTagged(&net, 3, &log);
+
+  // A multi-tick state transfer is the only queued message ...
+  Message transfer;
+  transfer.type = MessageType::kStateTransfer;
+  transfer.from = 0;
+  transfer.to = 1;
+  StateTransfer payload;
+  payload.groups.push_back(SerializedGroup{0, std::string(5000, 'z')});
+  transfer.payload = std::move(payload);
+  net.Send(std::move(transfer), /*now=*/0);
+  const Tick transfer_arrival = net.NextArrival();
+  ASSERT_GT(transfer_arrival, 40);
+
+  // ... when a short message on another link arrives long before it, and
+  // a short message behind it on the same link waits for it (FIFO).
+  net.Send(TaggedMessage(2, 3, 7), /*now=*/1);
+  EXPECT_EQ(net.NextArrival(), 3);
+  net.Send(TaggedMessage(0, 1, 8), /*now=*/2);
+  EXPECT_EQ(net.NextArrival(), 3);
+
+  net.DeliverUntil(2);
+  EXPECT_TRUE(log.empty());
+  net.DeliverUntil(transfer_arrival);
+  EXPECT_EQ(log, (std::vector<Arrival>{{3, 3, 7},
+                                       {1, transfer_arrival, -1},
+                                       {1, transfer_arrival, 8}}));
+  EXPECT_TRUE(net.idle());
+}
+
+TEST(NetworkCalendarTest, SameTickSendsGroupByDestinationInSequenceOrder) {
+  Network::Config config;
+  config.latency_ticks = 1;
+  config.bytes_per_tick = 1 << 30;
+  // Sends from three sources to two destinations, interleaved.
+  const std::vector<std::pair<NodeId, NodeId>> sends = {
+      {12, 2}, {10, 1}, {11, 2}, {12, 1}, {10, 2}, {11, 1}};
+
+  Network batched(config);
+  std::vector<Arrival> log;
+  RegisterTagged(&batched, 1, &log);
+  RegisterTagged(&batched, 2, &log);
+  for (size_t i = 0; i < sends.size(); ++i) {
+    batched.Send(TaggedMessage(sends[i].first, sends[i].second,
+                               static_cast<int>(i)),
+                 /*now=*/5);
+  }
+  std::vector<Network::Inbox> inboxes = batched.TakeArrivals(7);
+  ASSERT_EQ(inboxes.size(), 2u);
+  EXPECT_EQ(inboxes[0].node, 1);
+  EXPECT_EQ(inboxes[1].node, 2);
+  auto tags = [](const Network::Inbox& inbox) {
+    std::vector<int> out;
+    for (const auto& d : inbox.deliveries) out.push_back(TagOf(d.message));
+    return out;
+  };
+  EXPECT_EQ(tags(inboxes[0]), (std::vector<int>{1, 3, 5}));
+  EXPECT_EQ(tags(inboxes[1]), (std::vector<int>{0, 2, 4}));
+  for (auto& inbox : inboxes) batched.Deliver(inbox);
+  EXPECT_EQ(log.size(), sends.size());
+  EXPECT_TRUE(batched.idle());
+
+  // DeliverUntil keeps the global (arrival, sequence) order instead.
+  Network serial(config);
+  std::vector<Arrival> serial_log;
+  RegisterTagged(&serial, 1, &serial_log);
+  RegisterTagged(&serial, 2, &serial_log);
+  for (size_t i = 0; i < sends.size(); ++i) {
+    serial.Send(TaggedMessage(sends[i].first, sends[i].second,
+                              static_cast<int>(i)),
+                5);
+  }
+  serial.DeliverUntil(7);
+  ASSERT_EQ(serial_log.size(), sends.size());
+  for (size_t i = 0; i < sends.size(); ++i) {
+    EXPECT_EQ(serial_log[i].tag, static_cast<int>(i));
+    EXPECT_EQ(serial_log[i].node, sends[i].second);
+  }
+}
+
+TEST(NetworkCalendarTest, TakeArrivalsSpansSeveralTicksInArrivalOrder) {
+  Network::Config config;
+  config.latency_ticks = 1;
+  config.bytes_per_tick = 1 << 30;
+  Network net(config);
+  std::vector<Arrival> log;
+  RegisterTagged(&net, 1, &log);
+  net.Send(TaggedMessage(0, 1, 0), /*now=*/3);  // arrives 5
+  net.Send(TaggedMessage(4, 1, 1), /*now=*/1);  // arrives 3
+  net.Send(TaggedMessage(2, 1, 2), /*now=*/2);  // arrives 4
+  std::vector<Network::Inbox> inboxes = net.TakeArrivals(5);
+  ASSERT_EQ(inboxes.size(), 1u);
+  net.Deliver(inboxes[0]);
+  EXPECT_EQ(log, (std::vector<Arrival>{{1, 3, 1}, {1, 4, 2}, {1, 5, 0}}));
+}
+
+TEST(NetworkCalendarTest, FifoClampHoldsUnderJitterAndDuplicates) {
+  Network::Config config;
+  config.latency_ticks = 1;
+  config.bytes_per_tick = 1 << 30;
+  Network net(config);
+  std::vector<Arrival> log;
+  RegisterTagged(&net, 1, &log);
+  RegisterTagged(&net, 2, &log);
+  // Tag 0 is jittered by 6 ticks; tag 3 is duplicated.
+  net.SetFaultHooks(
+      [](const Message& m) -> Tick { return TagOf(m) == 0 ? 6 : 0; },
+      [](const Message& m) { return TagOf(m) == 3; });
+
+  net.Send(TaggedMessage(0, 1, 0), /*now=*/0);  // 2 + 6 jitter = 8
+  net.Send(TaggedMessage(0, 1, 1), /*now=*/1);  // 3, clamped to 8
+  net.Send(TaggedMessage(0, 2, 2), /*now=*/1);  // other link: 3
+  net.Send(TaggedMessage(0, 2, 3), /*now=*/4);  // 6, duplicate at 7
+  net.Send(TaggedMessage(0, 2, 4), /*now=*/4);  // 6, clamped behind the dup
+  EXPECT_EQ(net.stats().messages_sent, 6);
+
+  net.DeliverUntil(100);
+  EXPECT_EQ(log, (std::vector<Arrival>{{2, 3, 2},
+                                       {2, 6, 3},
+                                       {2, 7, 3},
+                                       {2, 7, 4},
+                                       {1, 8, 0},
+                                       {1, 8, 1}}));
+}
+
+TEST(NetworkCalendarTest, ZeroLatencyHandlersSendIntoTheTickBeingDelivered) {
+  Network::Config config;
+  config.latency_ticks = 0;
+  config.bytes_per_tick = 0;  // no transfer time: arrival == send tick
+  Network net(config);
+  std::vector<Arrival> log;
+  net.RegisterNode(1, [&](Tick now, const Message& m) {
+    log.push_back({1, now, TagOf(m)});
+    if (TagOf(m) < 100) net.Send(TaggedMessage(1, 2, TagOf(m) + 100), now);
+  });
+  RegisterTagged(&net, 2, &log);
+  RegisterTagged(&net, 3, &log);
+
+  net.Send(TaggedMessage(0, 1, 0), /*now=*/5);
+  net.Send(TaggedMessage(0, 3, 1), /*now=*/5);
+  net.Send(TaggedMessage(0, 1, 2), /*now=*/6);
+  net.DeliverUntil(5);
+  // The forwarded message joins tick 5 after everything already due.
+  EXPECT_EQ(log, (std::vector<Arrival>{{1, 5, 0}, {3, 5, 1}, {2, 5, 100}}));
+  EXPECT_EQ(net.NextArrival(), 6);
+  net.DeliverUntil(6);
+  EXPECT_EQ(log.back(), (Arrival{2, 6, 102}));
+  EXPECT_TRUE(net.idle());
+}
+
+TEST(NetworkCalendarTest, NextArrivalAndIdleAcrossEmptyTicks) {
+  Network::Config config;
+  config.latency_ticks = 1;
+  config.bytes_per_tick = 1 << 30;
+  Network net(config);
+  std::vector<Arrival> log;
+  RegisterTagged(&net, 1, &log);
+  net.Send(TaggedMessage(0, 1, 0), /*now=*/8);  // arrives 10
+  net.Send(TaggedMessage(0, 1, 1), /*now=*/1);  // arrives 10 (FIFO clamp)
+  net.Send(TaggedMessage(2, 1, 2), /*now=*/1);  // arrives 3
+  EXPECT_EQ(net.NextArrival(), 3);
+  EXPECT_EQ(net.TakeArrivals(2).size(), 0u);
+  net.DeliverUntil(3);
+  EXPECT_EQ(net.NextArrival(), 10);
+  EXPECT_FALSE(net.idle());
+  // Nothing is due over the empty ticks in between.
+  EXPECT_TRUE(net.TakeArrivals(9).empty());
+  EXPECT_EQ(net.NextArrival(), 10);
+  std::vector<Network::Inbox> inboxes = net.TakeArrivals(10);
+  ASSERT_EQ(inboxes.size(), 1u);
+  EXPECT_EQ(inboxes[0].deliveries.size(), 2u);
+  EXPECT_TRUE(net.idle());
+  EXPECT_EQ(net.NextArrival(), -1);
+  // The queue keeps working after draining completely.
+  net.Send(TaggedMessage(0, 1, 3), /*now=*/20);
+  EXPECT_EQ(net.NextArrival(), 22);
+}
+
+TEST(NetworkCalendarTest, BufferedSendsMergeBySourceNode) {
+  Network::Config config;
+  config.latency_ticks = 1;
+  config.bytes_per_tick = 1 << 30;
+  Network net(config);
+  std::vector<Arrival> log;
+  for (NodeId n = 0; n < 4; ++n) RegisterTagged(&net, n, &log);
+  net.BeginBuffered();
+  net.Send(TaggedMessage(3, 0, 0), 0);
+  net.Send(TaggedMessage(1, 0, 1), 0);
+  net.Send(TaggedMessage(3, 0, 2), 0);
+  net.Send(TaggedMessage(2, 0, 3), 0);
+  EXPECT_TRUE(net.idle());
+  net.FlushBuffered();
+  net.DeliverUntil(10);
+  std::vector<int> tags;
+  for (const Arrival& a : log) tags.push_back(a.tag);
+  EXPECT_EQ(tags, (std::vector<int>{1, 3, 0, 2}));
 }
 
 TEST(MessageTest, TypeNamesAreStable) {
