@@ -71,6 +71,53 @@ void BM_ProbeMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_ProbeMiss);
 
+/// Probe+insert shaped like the rt-freerun benchmark workload: 3 streams,
+/// 60 partition groups, join keys drawn from a 1 M-key range (most probes
+/// miss; a key holds one or two tuples), 64 B payloads (112 logical bytes
+/// per tuple). Each iteration fills fresh groups with range(0) tuples;
+/// building and destroying the groups is not timed. The
+/// resident_bytes_per_tuple counter is the groups' ResidentBytes over the
+/// tuples they hold once filled.
+void BM_ProbeAndInsertSparse(benchmark::State& state) {
+  constexpr int kStreams = 3;
+  constexpr int kGroups = 60;
+  constexpr uint64_t kKeyRange = 1000000;
+  const int64_t n = state.range(0);
+  Rng rng(7);
+  std::vector<Tuple> tuples;
+  tuples.reserve(static_cast<size_t>(n));
+  for (int64_t i = 0; i < n; ++i) {
+    Tuple t = MakeTuple(static_cast<StreamId>(i % kStreams), i,
+                        static_cast<JoinKey>(rng.Uniform(kKeyRange)), 64);
+    t.timestamp = i;
+    tuples.push_back(std::move(t));
+  }
+  std::vector<JoinResult> results;
+  double resident_per_tuple = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<PartitionGroup> groups;
+    groups.reserve(kGroups);
+    for (int p = 0; p < kGroups; ++p) groups.emplace_back(p, kStreams);
+    state.ResumeTiming();
+    for (const Tuple& t : tuples) {
+      groups[static_cast<size_t>(t.join_key % kGroups)].ProbeAndInsert(
+          t, &results);
+      results.clear();
+    }
+    state.PauseTiming();
+    int64_t resident = 0;
+    for (const PartitionGroup& g : groups) resident += g.ResidentBytes();
+    resident_per_tuple =
+        static_cast<double>(resident) / static_cast<double>(n);
+    groups.clear();
+    state.ResumeTiming();
+  }
+  state.counters["resident_bytes_per_tuple"] = resident_per_tuple;
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ProbeAndInsertSparse)->Arg(1 << 18)->Unit(benchmark::kMillisecond);
+
 PartitionGroup BuildGroup(int tuples_per_stream, int payload) {
   PartitionGroup group(0, 3);
   for (int i = 0; i < tuples_per_stream; ++i) {

@@ -1,6 +1,7 @@
 #include "cleanup/block_reader.h"
 
 #include <algorithm>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
@@ -316,13 +317,13 @@ StatusOr<bool> MemoryGenCursor::Advance() {
   ReleaseMembers();
   if (next_ == keys_.size()) return false;
   key_ = keys_[next_++];
-  const auto& table = group_->TableForStream(stream_);
-  const auto it = table.find(key_);
-  DCAPE_CHECK(it != table.end());
-  members_.reserve(it->second.size());
-  for (const Tuple& t : it->second) {
-    members_.push_back(MemberRef{t.seq, t.value, t.category, t.timestamp});
-  }
+  group_->ForEachRow(stream_, key_,
+                     [this](const PartitionGroup::Row& row, std::string_view) {
+                       members_.push_back(MemberRef{row.seq, row.value,
+                                                    row.category,
+                                                    row.timestamp});
+                     });
+  DCAPE_CHECK(!members_.empty());
   ChargeMembers();
   return true;
 }

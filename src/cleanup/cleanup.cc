@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 
@@ -53,12 +54,13 @@ Generation FromGroup(const PartitionGroup& group, EngineId home,
   gen.keys.resize(static_cast<size_t>(group.num_streams()));
   for (StreamId s = 0; s < group.num_streams(); ++s) {
     auto& out = gen.keys[static_cast<size_t>(s)];
-    for (const auto& [key, tuples] : group.TableForStream(s)) {
+    for (JoinKey key : group.SortedKeysForStream(s)) {
       std::vector<MemberRef>& refs = out[key];
-      refs.reserve(tuples.size());
-      for (const Tuple& t : tuples) {
-        refs.push_back(MemberRef{t.seq, t.value, t.category, t.timestamp});
-      }
+      group.ForEachRow(
+          s, key, [&refs](const PartitionGroup::Row& row, std::string_view) {
+            refs.push_back(
+                MemberRef{row.seq, row.value, row.category, row.timestamp});
+          });
     }
   }
   return gen;

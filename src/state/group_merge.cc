@@ -1,6 +1,7 @@
 #include "state/group_merge.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/check.h"
 
@@ -16,47 +17,55 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
   const int m = older.num_streams();
   DCAPE_CHECK_LE(m, 16);
 
+  // Each side's keys per stream, once: the seed choice below compares
+  // their counts and walks the smallest.
+  std::vector<std::vector<JoinKey>> older_keys(static_cast<size_t>(m));
+  std::vector<std::vector<JoinKey>> newer_keys(static_cast<size_t>(m));
+  for (int s = 0; s < m; ++s) {
+    older_keys[static_cast<size_t>(s)] = older.SortedKeysForStream(s);
+    newer_keys[static_cast<size_t>(s)] = newer.SortedKeysForStream(s);
+  }
+  // Per-key scratch, reused across keys and masks: each stream's run of
+  // the key (copied out of its side's arena) and the odometer.
+  std::vector<std::vector<PartitionGroup::Row>> runs(static_cast<size_t>(m));
+  std::vector<size_t> cursor(static_cast<size_t>(m), 0);
+  JoinResult result;
+  result.partition = older.partition();
+  result.member_seqs.assign(static_cast<size_t>(m), 0);
+
   int64_t produced = 0;
   const uint32_t full = (1u << m) - 1;
   // Mask bit s set → stream s's member comes from `newer`.
   for (uint32_t mask = 1; mask < full; ++mask) {
-    // Iterate the keys of the smallest source table among the mask's
+    auto side = [&](int s) -> const PartitionGroup& {
+      return ((mask >> s) & 1u) ? newer : older;
+    };
+    auto side_keys = [&](int s) -> const std::vector<JoinKey>& {
+      return ((mask >> s) & 1u) ? newer_keys[static_cast<size_t>(s)]
+                                : older_keys[static_cast<size_t>(s)];
+    };
+    // Iterate the keys of the smallest source stream among the mask's
     // designated sides.
     int seed_stream = 0;
-    size_t seed_size = SIZE_MAX;
-    for (int s = 0; s < m; ++s) {
-      const auto& table = ((mask >> s) & 1u) ? newer.TableForStream(s)
-                                             : older.TableForStream(s);
-      if (table.size() < seed_size) {
-        seed_size = table.size();
-        seed_stream = s;
-      }
+    for (int s = 1; s < m; ++s) {
+      if (side_keys(s).size() < side_keys(seed_stream).size()) seed_stream = s;
     }
-    const auto& seed_table = ((mask >> seed_stream) & 1u)
-                                 ? newer.TableForStream(seed_stream)
-                                 : older.TableForStream(seed_stream);
 
-    for (const auto& [key, seed_tuples] : seed_table) {
-      std::vector<const std::vector<Tuple>*> lists(static_cast<size_t>(m),
-                                                   nullptr);
+    for (JoinKey key : side_keys(seed_stream)) {
       bool all_present = true;
       for (int s = 0; s < m && all_present; ++s) {
-        const auto& table = ((mask >> s) & 1u) ? newer.TableForStream(s)
-                                               : older.TableForStream(s);
-        auto it = table.find(key);
-        if (it == table.end() || it->second.empty()) {
-          all_present = false;
-        } else {
-          lists[static_cast<size_t>(s)] = &it->second;
-        }
+        std::vector<PartitionGroup::Row>& run = runs[static_cast<size_t>(s)];
+        run.clear();
+        side(s).ForEachRow(
+            s, key, [&run](const PartitionGroup::Row& row, std::string_view) {
+              run.push_back(row);
+            });
+        all_present = !run.empty();
       }
       if (!all_present) continue;
 
-      JoinResult result;
-      result.partition = older.partition();
       result.join_key = key;
-      result.member_seqs.assign(static_cast<size_t>(m), 0);
-      std::vector<size_t> cursor(static_cast<size_t>(m), 0);
+      std::fill(cursor.begin(), cursor.end(), 0);
       while (true) {
         int64_t agg = 0;
         bool first_member = true;
@@ -64,8 +73,8 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
         Tick max_ts = 0;
         bool first_ts = true;
         for (int s = 0; s < m; ++s) {
-          const Tuple& member =
-              (*lists[static_cast<size_t>(s)])[cursor[static_cast<size_t>(s)]];
+          const PartitionGroup::Row& member =
+              runs[static_cast<size_t>(s)][cursor[static_cast<size_t>(s)]];
           result.member_seqs[static_cast<size_t>(s)] = member.seq;
           if (first_ts) {
             min_ts = max_ts = member.timestamp;
@@ -93,7 +102,7 @@ int64_t CrossJoinGenerations(const PartitionGroup& older,
         int s = m - 1;
         for (; s >= 0; --s) {
           size_t& c = cursor[static_cast<size_t>(s)];
-          if (++c < lists[static_cast<size_t>(s)]->size()) break;
+          if (++c < runs[static_cast<size_t>(s)].size()) break;
           c = 0;
         }
         if (s < 0) break;

@@ -4,7 +4,8 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -46,12 +47,36 @@ inline uint64_t SecondaryKeyHash(JoinKey key) {
 /// partition id, kept together so joins never span machines and cleanup
 /// needs no per-tuple timestamps (§2, "Partition-Group Granularity").
 ///
-/// Internally one hash table per input stream maps the join key to the
-/// tuples seen with that key. An arriving tuple probes the *other*
-/// streams' tables (m-way symmetric hash join, Viglas et al. [26]) and is
-/// then inserted into its own stream's table.
+/// An arriving tuple probes the *other* streams' state for its join key
+/// (m-way symmetric hash join, Viglas et al. [26]) and is then inserted
+/// into its own stream's state. Storage is flat:
+///  - one open-addressing key table per group (linear probing on
+///    SecondaryKeyHash, load <= 0.7, backward-shift deletion). A slot
+///    holds the key, its access-clock entry and, per stream, the arena
+///    index of the key's newest row — so one lookup serves the probe of
+///    every partner stream, the insert and the clock update;
+///  - per stream, a dense arena of 40-byte Rows plus a payload byte
+///    arena. A key's rows form a circular list in arrival order (the
+///    slot names the tail, the tail links to the head).
+/// Rows that leave (eviction, key moves) stay in the arena as dead rows
+/// until they reach half of it; the arena is then rewritten in key-run
+/// order. Byte accounting stays in logical Tuple::ByteSize units.
 class PartitionGroup {
  public:
+  /// One resident tuple of a stream. The stream id and join key are
+  /// implied by where the row is stored; the payload lives in the
+  /// stream's byte arena and ends where the next arena row's begins.
+  struct Row {
+    int64_t seq;
+    Tick timestamp;
+    int64_t value;
+    int64_t category;
+    /// Start of the payload in the stream's byte arena.
+    uint32_t payload_off;
+    /// Arena index of the key's next row (the tail links to the head).
+    uint32_t next;
+  };
+
   /// An empty group for `partition` over `num_streams` join inputs.
   PartitionGroup(PartitionId partition, int num_streams);
 
@@ -62,12 +87,13 @@ class PartitionGroup {
 
   /// Probes the other streams for matches with `tuple` and appends the
   /// produced m-way results to `results`, then inserts `tuple` into its
-  /// stream's table. Returns the number of results produced. Updates
+  /// stream's state. Returns the number of results produced. Updates
   /// byte accounting and productivity counters. When `projection` is
   /// non-null each result's (group_key, agg_value) is computed from the
   /// member tuples. When `window_ticks > 0` only combinations whose
   /// member timestamps span at most the window qualify (sliding-window
-  /// join semantics for infinite streams).
+  /// join semantics for infinite streams). Results enumerate the
+  /// partners in arrival order, the last stream varying fastest.
   DCAPE_HOT_PATH int64_t ProbeAndInsert(
       const Tuple& tuple, std::vector<JoinResult>* results,
       const ResultProjection* projection = nullptr, Tick window_ticks = 0);
@@ -85,9 +111,8 @@ class PartitionGroup {
   int64_t EvictBefore(Tick cutoff, PartitionGroup* evicted);
 
   /// Inserts without probing (used when rebuilding state during cleanup).
+  /// The payload is copied into the stream's arena.
   void InsertOnly(const Tuple& tuple);
-  /// Move overload: takes ownership of the tuple's payload.
-  void InsertOnly(Tuple&& tuple);
 
   /// Merges all state and counters of `other` into this group. Used when
   /// a relocated group lands on an engine that has since accumulated new
@@ -118,8 +143,8 @@ class PartitionGroup {
   PartitionGroup SplitBySecondaryHashBit(int bit);
 
   /// Distinct join keys across all streams (a partial spill or
-  /// sub-partition split needs >= 2 to make progress).
-  int64_t DistinctKeyCount() const;
+  /// sub-partition split needs >= 2 to make progress). O(1).
+  int64_t DistinctKeyCount() const { return key_count_; }
 
   /// Exact number of bytes the v1 fixed-width Serialize appends. O(1):
   /// the tracked byte accounting already equals the tuples' raw
@@ -128,11 +153,18 @@ class PartitionGroup {
   /// against.
   int64_t SerializedByteSize() const;
 
+  /// Bytes the group's storage holds allocated: the key table's slots
+  /// and every stream's row and payload arenas, at capacity (dead rows
+  /// and growth slack included). Unlike bytes(), which is logical.
+  int64_t ResidentBytes() const;
+
   /// Serializes the full group (counters + all tuples) for spilling or
   /// relocation. Appends to `out`. v2 (default) is the compact segment
-  /// format: varint/zigzag fields, one key header per bucket run instead
+  /// format: varint/zigzag fields, one key header per key run instead
   /// of per tuple, and per-run delta-encoded seq/timestamps. v1 is the
   /// original fixed-width layout, kept for compatibility benchmarking.
+  /// Keys are written in ascending order, each key's tuples in arrival
+  /// order, so the bytes are a pure function of the logical state.
   void Serialize(std::string* out,
                  SegmentFormat format = SegmentFormat::kV2) const;
 
@@ -142,10 +174,14 @@ class PartitionGroup {
   [[nodiscard]] static StatusOr<PartitionGroup> Deserialize(
       std::string_view data);
 
-  /// The tuples of one input stream, grouped by join key. Exposed for the
-  /// cleanup processor, which joins across generations.
-  const std::unordered_map<JoinKey, std::vector<Tuple>>& TableForStream(
-      StreamId stream) const;
+  /// Calls `fn(const Row&, std::string_view payload)` for each tuple of
+  /// `stream` with join key `key`, in arrival order. The group must not
+  /// change during the walk.
+  template <typename Fn>
+  void ForEachRow(StreamId stream, JoinKey key, Fn&& fn) const {
+    const uint32_t tail = TailOf(stream, key);
+    if (tail != kNoRow) WalkRun(arenas_[static_cast<size_t>(stream)], tail, fn);
+  }
 
   /// One stream's join keys in ascending order. The streaming cleanup
   /// merge iterates memory-resident generations key-by-key alongside
@@ -184,9 +220,88 @@ class PartitionGroup {
   }
 
  private:
-  /// Moves the whole per-stream buckets of `key` into `dst`, with byte /
-  /// tuple accounting and the key's access-clock entry. Returns the
-  /// bytes moved.
+  /// "No row": an empty per-stream tail, and the reason a stream arena
+  /// holds fewer than 2^32 - 1 rows. Its payload arena is capped at
+  /// 2^32 - 1 bytes the same way (uint32 payload offsets); crossing
+  /// either limit fails a DCAPE_CHECK. Dead rows are reclaimed long
+  /// before: an arena is compacted once half of it is dead.
+  static constexpr uint32_t kNoRow = UINT32_MAX;
+  static constexpr size_t kNoSlot = SIZE_MAX;
+
+  /// One stream's resident tuples.
+  struct StreamArena {
+    std::vector<Row> rows;
+    /// Payload bytes of every row (dead ones too), in row order.
+    std::vector<char> payload;
+    /// Rows no key links to any more (evicted or moved out), and their
+    /// payload bytes.
+    int64_t dead = 0;
+    size_t dead_payload = 0;
+  };
+
+  // ---- Key table -------------------------------------------------------
+  // A slot is slot_words_ uint32 words: the join key (2 words), the
+  // access-clock entry `touch` (2 words; -1 marks an empty slot, 0 "no
+  // entry") and one tail row index per stream (kNoRow when the stream
+  // holds no row of the key). An all-ones slot is empty.
+  JoinKey SlotKey(size_t slot) const;
+  int64_t SlotTouch(size_t slot) const;
+  void SetSlotTouch(size_t slot, int64_t touch);
+  uint32_t* SlotTails(size_t slot) {
+    return &slots_[slot * slot_words_ + 4];
+  }
+  const uint32_t* SlotTails(size_t slot) const {
+    return &slots_[slot * slot_words_ + 4];
+  }
+  size_t SlotCapacity() const { return slots_.size() / slot_words_; }
+  size_t HomeSlot(JoinKey key) const;
+  /// The slot of `key`, or kNoSlot.
+  size_t FindSlot(JoinKey key) const;
+  /// The slot of `key`, inserting an empty entry (touch 0, no rows)
+  /// when absent. May rehash, invalidating earlier slot indices.
+  size_t FindOrInsertSlot(JoinKey key);
+  /// Empties `slot` by backward shift; no tombstones.
+  void EraseSlot(size_t slot);
+  /// Rebuilds the table with `capacity` slots (a power of two, or 0).
+  void Rehash(size_t capacity);
+  /// Shrinks the table after mass deletion (load under 0.175).
+  void MaybeShrinkTable();
+  /// The tail row of `key` in `stream`, or kNoRow.
+  uint32_t TailOf(StreamId stream, JoinKey key) const;
+
+  // ---- Rows ------------------------------------------------------------
+  static std::string_view PayloadOf(const StreamArena& arena, uint32_t row) {
+    const uint32_t end = row + 1 < arena.rows.size()
+                             ? arena.rows[row + 1].payload_off
+                             : static_cast<uint32_t>(arena.payload.size());
+    const uint32_t begin = arena.rows[row].payload_off;
+    return std::string_view(arena.payload.data() + begin, end - begin);
+  }
+  /// Calls `fn(row, payload)` for the key run ending at `tail`, head
+  /// first.
+  template <typename Fn>
+  static void WalkRun(const StreamArena& arena, uint32_t tail, Fn&& fn) {
+    uint32_t r = arena.rows[tail].next;
+    while (true) {
+      fn(arena.rows[r], PayloadOf(arena, r));
+      if (r == tail) break;
+      r = arena.rows[r].next;
+    }
+  }
+  /// Stream `s`'s (key, tail row) pairs, ascending by key.
+  std::vector<std::pair<JoinKey, uint32_t>> SortedRuns(StreamId s) const;
+  /// Appends a row for the key of `slot` to stream `s` — after the
+  /// key's existing rows — with byte/tuple accounting and the arrival
+  /// index. `fields` supplies seq, timestamp, value and category.
+  void AppendRow(size_t slot, StreamId s, const Row& fields,
+                 std::string_view payload);
+  /// Rewrites stream `s`'s arenas without dead rows, in key-run order,
+  /// once dead rows are at least half of the arena.
+  void MaybeCompact(StreamId s);
+
+  /// Moves every stream's rows of `key` into `dst`, with byte / tuple
+  /// accounting and the key's access-clock entry. Returns the bytes
+  /// moved.
   int64_t MoveKeyTo(JoinKey key, PartitionGroup* dst);
 
   /// One arrival-index bucket: the join key of every indexed tuple whose
@@ -197,41 +312,46 @@ class PartitionGroup {
     std::vector<JoinKey> keys;
   };
   bool indexed() const { return !arrivals_.empty(); }
-  /// Builds the arrival index from the tables (first EvictBefore).
+  /// Builds the arrival index from the resident rows (first EvictBefore).
   void BuildArrivalIndex();
   /// Records a tuple of `key` with timestamp `ts` in stream `s`'s index,
   /// in the bucket of its timestamp — also when that bucket is older
   /// than the newest one (late relocation flushes, merges).
   void IndexArrival(StreamId s, JoinKey key, Tick ts);
-  /// Indexes every tuple of `tuples` (a bucket moved or merged in).
-  void IndexTuples(StreamId s, JoinKey key, const std::vector<Tuple>& tuples);
-  /// Moves (or, with null `evicted`, destroys) the tuples of `key` in
-  /// stream `s` older than `cutoff`, erasing the emptied bucket and the
-  /// key's access-clock entry once no stream holds it. Returns the count.
+  /// Moves (or, with null `evicted`, destroys) the rows of `key` in
+  /// stream `s` older than `cutoff`, erasing the key's slot — and with
+  /// it its access-clock entry — once no stream holds it. Returns the
+  /// count.
   int64_t EvictKey(StreamId s, JoinKey key, Tick cutoff,
                    PartitionGroup* evicted);
 
   PartitionId partition_;
   int num_streams_;
-  /// tables_[s][key] = tuples of stream s with that join key.
-  std::vector<std::unordered_map<JoinKey, std::vector<Tuple>>> tables_;
+  size_t slot_words_;
+  /// The key table (see SlotKey); capacity 0 or a power of two.
+  std::vector<uint32_t> slots_;
+  /// 64 - log2(capacity): HomeSlot takes the hash's top bits, so the
+  /// low bits SplitBySecondaryHashBit fixes leave the homes uniform.
+  int slot_shift_ = 64;
+  int64_t key_count_ = 0;
+  std::vector<StreamArena> arenas_;
   int64_t bytes_ = 0;
   int64_t tuple_count_ = 0;
   int64_t outputs_ = 0;
-  /// Deterministic per-bucket access clock: a logical counter advanced
-  /// on every ProbeAndInsert; last_touch_[key] is the arriving tuple's
+  /// Deterministic per-key access clock: a logical counter advanced on
+  /// every ProbeAndInsert; a key's slot `touch` is the arriving tuple's
   /// tick number. Never serialized — a restored generation starts cold.
   int64_t access_clock_ = 0;
-  std::unordered_map<JoinKey, int64_t> last_touch_;
   /// arrivals_[s] = stream s's arrival index, buckets ascending by id and
   /// never empty. Empty (no per-stream deques at all) until the first
   /// EvictBefore. May name keys that have since moved out or expired:
   /// eviction re-checks timestamps, so a stale entry costs one lookup.
   std::vector<std::deque<ArrivalBucket>> arrivals_;
-  /// Reusable probe scratch: match list per stream and the odometer
-  /// cursor. Members so the per-tuple hot path never heap-allocates.
-  std::vector<const std::vector<Tuple>*> probe_matches_;
-  std::vector<size_t> probe_cursor_;
+  /// Reusable probe scratch: each stream's row array and the odometer
+  /// (one row index per stream). Members so the per-tuple hot path
+  /// never heap-allocates.
+  std::vector<const Row*> probe_rows_;
+  std::vector<uint32_t> probe_cursor_;
 };
 
 }  // namespace dcape

@@ -80,10 +80,11 @@ std::string FileDiskBackend::PathFor(const std::string& name) const {
 }
 
 Status FileDiskBackend::Write(const std::string& name, std::string_view data) {
-  // Write to a temp file, then rename over the final path: a crash
-  // mid-write leaves either the old object or a stray .tmp (which List
-  // ignores), never a truncated object that would later deserialize as
-  // corrupt state.
+  // Write to a temp file, then rename over the final path: within a
+  // run, a failed or unfinished write leaves either the old object or a
+  // stray .tmp (which List ignores), never a truncated object that would
+  // later deserialize as corrupt state. Nothing is fsync'ed: segments
+  // are per-run scratch.
   const std::string final_path = PathFor(name);
   const std::string tmp_path = final_path + ".tmp";
   {

@@ -60,9 +60,11 @@ class MemoryDiskBackend : public DiskBackend {
 };
 
 /// Filesystem-directory backend. Each object is one file under `dir`.
-/// Writes are crash-consistent: data lands in a `.tmp` sibling first and
-/// is renamed into place, so a partially written object is never visible
-/// under its final name (List also skips `.tmp` leftovers).
+/// A write is an atomic replace within a run: data lands in a `.tmp`
+/// sibling first and is renamed into place, so a reader never sees a
+/// partially written object under its final name (List also skips
+/// `.tmp` leftovers). Nothing is fsync'ed, so nothing survives a crash
+/// of the host; segments are per-run scratch and no recovery reads them.
 class FileDiskBackend : public DiskBackend {
  public:
   /// Creates `dir` (recursively) if needed; aborts on failure since a

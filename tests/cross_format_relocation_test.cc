@@ -18,6 +18,7 @@ using testing::AllResults;
 using testing::ReferenceResults;
 using testing::SmallClusterConfig;
 using testing::ToMultiset;
+using testing::TuplesOf;
 
 // ----- Unit level: extract in one format, install into a manager of the
 // other format (relocation sender/receiver in miniature). InstallGroup
@@ -56,7 +57,8 @@ int64_t Populate(StateManager* manager) {
 std::vector<Tuple> CanonicalTuples(const PartitionGroup& group) {
   std::vector<Tuple> all;
   for (StreamId s = 0; s < group.num_streams(); ++s) {
-    for (const auto& [key, tuples] : group.TableForStream(s)) {
+    for (JoinKey key : group.SortedKeysForStream(s)) {
+      const std::vector<Tuple> tuples = TuplesOf(group, s, key);
       all.insert(all.end(), tuples.begin(), tuples.end());
     }
   }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
+
+#include "tests/test_util.h"
 
 namespace dcape {
 namespace {
@@ -102,22 +105,25 @@ TEST(CrossJoinGenerationsTest, MatchesBruteForceOnMixedKeys) {
 
   auto full_join_count = [](const PartitionGroup& g) {
     int64_t total = 0;
-    for (const auto& [key, s0] : g.TableForStream(0)) {
-      auto it = g.TableForStream(1).find(key);
-      if (it != g.TableForStream(1).end()) {
-        total += static_cast<int64_t>(s0.size() * it->second.size());
-      }
+    for (JoinKey key : g.SortedKeysForStream(0)) {
+      const size_t s0 = testing::TuplesOf(g, 0, key).size();
+      const size_t s1 = testing::TuplesOf(g, 1, key).size();
+      total += static_cast<int64_t>(s0 * s1);
     }
     return total;
   };
 
   PartitionGroup merged(0, 2);
   for (StreamId s = 0; s < 2; ++s) {
-    for (const auto& [key, tuples] : older.TableForStream(s)) {
-      for (const Tuple& t : tuples) merged.InsertOnly(t);
+    for (JoinKey key : older.SortedKeysForStream(s)) {
+      for (const Tuple& t : testing::TuplesOf(older, s, key)) {
+        merged.InsertOnly(t);
+      }
     }
-    for (const auto& [key, tuples] : newer.TableForStream(s)) {
-      for (const Tuple& t : tuples) merged.InsertOnly(t);
+    for (JoinKey key : newer.SortedKeysForStream(s)) {
+      for (const Tuple& t : testing::TuplesOf(newer, s, key)) {
+        merged.InsertOnly(t);
+      }
     }
   }
   const int64_t expected = full_join_count(merged) - full_join_count(older) -

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
+
+#include "tests/test_util.h"
 
 namespace dcape {
 namespace {
@@ -108,16 +111,18 @@ TEST(PartitionGroupTest, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(restored->tuple_count(), group.tuple_count());
   EXPECT_EQ(restored->bytes(), group.bytes());
   EXPECT_EQ(restored->outputs(), group.outputs());
-  // Re-serialization is stable modulo hash-table iteration order: compare
-  // the per-stream per-key seq multisets instead.
+  // Compare the per-stream key sets and per-key tuple counts.
   for (StreamId s = 0; s < 3; ++s) {
-    const auto& original_table = group.TableForStream(s);
-    const auto& restored_table = restored->TableForStream(s);
-    ASSERT_EQ(original_table.size(), restored_table.size());
-    for (const auto& [key, tuples] : original_table) {
-      auto it = restored_table.find(key);
-      ASSERT_NE(it, restored_table.end());
-      EXPECT_EQ(it->second.size(), tuples.size());
+    const std::vector<JoinKey> original_keys = group.SortedKeysForStream(s);
+    const std::vector<JoinKey> restored_keys =
+        restored->SortedKeysForStream(s);
+    ASSERT_EQ(original_keys.size(), restored_keys.size());
+    for (JoinKey key : original_keys) {
+      const std::vector<Tuple> restored_tuples =
+          testing::TuplesOf(*restored, s, key);
+      ASSERT_FALSE(restored_tuples.empty());
+      EXPECT_EQ(restored_tuples.size(),
+                testing::TuplesOf(group, s, key).size());
     }
   }
 }
@@ -147,6 +152,28 @@ TEST(PartitionGroupTest, MergeCombinesStateAndCounters) {
   // Post-merge probes see the merged state: a stream-1 tuple with key 9
   // matches both stream-0 tuples.
   EXPECT_EQ(a.ProbeAndInsert(MakeTuple(1, 4, 9), nullptr), 2);
+}
+
+TEST(PartitionGroupTest, ResidentBytesFallAfterEvictingMostRows) {
+  PartitionGroup group(0, 2);
+  for (int64_t i = 0; i < 4000; ++i) {
+    group.InsertOnly(MakeTuple(0, i, i % 500, std::string(32, 'x')));
+    if (i % 4 == 0) {
+      group.InsertOnly(MakeTuple(1, i, i % 500, std::string(32, 'y')));
+    }
+  }
+  const int64_t before = group.ResidentBytes();
+  EXPECT_GE(before, group.bytes() / 2);
+  // Drop 75% of stream 0's rows (and of stream 1's): the arenas are
+  // rewritten without them.
+  EXPECT_EQ(group.EvictBefore(3000, nullptr), 3000 + 750);
+  EXPECT_EQ(group.tuple_count(), 1000 + 250);
+  const int64_t after = group.ResidentBytes();
+  EXPECT_LT(after, before / 2);
+  // Dropping everything releases the storage.
+  group.EvictBefore(4000, nullptr);
+  EXPECT_TRUE(group.empty());
+  EXPECT_EQ(group.ResidentBytes(), 0);
 }
 
 TEST(PartitionGroupTest, InsertOnlySkipsProbing) {

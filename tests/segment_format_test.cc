@@ -6,19 +6,20 @@
 #include <vector>
 
 #include "state/partition_group.h"
+#include "tests/test_util.h"
 #include "tuple/serde.h"
 #include "tuple/tuple.h"
 
 namespace dcape {
 namespace {
 
-// Canonical order-independent view of a group's contents. The hash
-// tables iterate in different orders after a round trip, so contents
-// are compared as a sorted tuple list.
+// Canonical order-independent view of a group's contents, compared as
+// a sorted tuple list.
 std::vector<Tuple> CanonicalTuples(const PartitionGroup& group) {
   std::vector<Tuple> all;
   for (StreamId s = 0; s < group.num_streams(); ++s) {
-    for (const auto& [key, tuples] : group.TableForStream(s)) {
+    for (JoinKey key : group.SortedKeysForStream(s)) {
+      const std::vector<Tuple> tuples = testing::TuplesOf(group, s, key);
       all.insert(all.end(), tuples.begin(), tuples.end());
     }
   }

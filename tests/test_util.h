@@ -3,10 +3,13 @@
 
 #include <map>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "runtime/cluster.h"
 #include "runtime/cluster_config.h"
+#include "state/partition_group.h"
 #include "tuple/tuple.h"
 
 namespace dcape {
@@ -42,6 +45,26 @@ inline ClusterConfig SmallClusterConfig() {
   config.active_disk.max_forced_spill_bytes = 512 * kKiB;
   config.cleanup.collect_results = true;
   return config;
+}
+
+/// The tuples of `stream` with join key `key` in `group`, in arrival
+/// order (empty when the stream holds none).
+inline std::vector<Tuple> TuplesOf(const PartitionGroup& group,
+                                   StreamId stream, JoinKey key) {
+  std::vector<Tuple> tuples;
+  group.ForEachRow(stream, key, [&](const PartitionGroup::Row& row,
+                                    std::string_view payload) {
+    Tuple t;
+    t.stream_id = stream;
+    t.seq = row.seq;
+    t.join_key = key;
+    t.timestamp = row.timestamp;
+    t.value = row.value;
+    t.category = row.category;
+    t.payload = std::string(payload);
+    tuples.push_back(std::move(t));
+  });
+  return tuples;
 }
 
 /// Encodes each result once; duplicates surface as count > 1.

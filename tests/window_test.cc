@@ -17,6 +17,7 @@ namespace {
 
 using testing::AllResults;
 using testing::SmallClusterConfig;
+using testing::TuplesOf;
 using testing::ToMultiset;
 
 Tuple MakeTuple(StreamId stream, int64_t seq, JoinKey key, Tick timestamp) {
@@ -81,8 +82,10 @@ TEST(EvictBeforeTest, MovesExpiredTuplesAndAccounting) {
   EXPECT_EQ(evicted.tuple_count(), 2);
   EXPECT_EQ(group.bytes() + evicted.bytes(), bytes_before);
   // The surviving tuple is the ts=90 one.
-  ASSERT_EQ(group.TableForStream(0).size(), 1u);
-  EXPECT_EQ(group.TableForStream(0).at(5)[0].seq, 2);
+  ASSERT_EQ(group.SortedKeysForStream(0), std::vector<JoinKey>{5});
+  const std::vector<Tuple> survivors = TuplesOf(group, 0, 5);
+  ASSERT_FALSE(survivors.empty());
+  EXPECT_EQ(survivors[0].seq, 2);
   // Re-running evicts nothing.
   PartitionGroup none(3, 2);
   EXPECT_EQ(group.EvictBefore(50, &none), 0);
@@ -122,7 +125,7 @@ std::vector<std::tuple<StreamId, JoinKey, int64_t, Tick>> Contents(
   std::vector<std::tuple<StreamId, JoinKey, int64_t, Tick>> out;
   for (StreamId s = 0; s < group.num_streams(); ++s) {
     for (JoinKey key : group.SortedKeysForStream(s)) {
-      for (const Tuple& t : group.TableForStream(s).at(key)) {
+      for (const Tuple& t : TuplesOf(group, s, key)) {
         out.emplace_back(s, key, t.seq, t.timestamp);
       }
     }

@@ -298,8 +298,8 @@ def collect_unordered_symbols(source):
 def alias_tainted(source, expr, extra=()):
     """Taint rule for `auto x = <expr>` aliases. When the initializer
     goes through function calls, the alias has whatever those functions
-    return — `SortedBuckets(tables_[s])` yields a sorted vector, not the
-    hash map it was built from — so only calls to known
+    return — a `SortedKeys(table)` helper yields a sorted vector, not
+    the hash map it was built from — so only calls to known
     unordered-returning functions taint. A double subscript
     (`tables_[s][key]`) lands in the mapped value, not the map.
     Call-free single-subscript initializers (`tables_[s]`,
