@@ -29,20 +29,6 @@ void Network::SetFaultHooks(std::function<Tick(const Message&)> extra_delay,
 }
 
 void Network::Send(Message message, Tick now) {
-  DCAPE_CHECK_NE(message.from, kInvalidNode);
-  DCAPE_CHECK_NE(message.to, kInvalidNode);
-  if (buffered_) {
-    // Parallel phase: park in the sender's outbox. Each outbox is owned
-    // by the one task driving that node, so no locking is needed; all
-    // global bookkeeping happens at FlushBuffered.
-    auto& outbox = outboxes_[static_cast<size_t>(message.from)];
-    outbox.push_back(BufferedSend{std::move(message), now});
-    return;
-  }
-  Enqueue(std::move(message), now);
-}
-
-void Network::Enqueue(Message message, Tick now) {
   DCAPE_CHECK_GE(message.from, 0);
   DCAPE_CHECK_GE(message.to, 0);
   message.send_time = now;
@@ -74,20 +60,20 @@ void Network::Enqueue(Message message, Tick now) {
     stats_.state_transfer_bytes += bytes;
   }
 
-  const bool duplicate = fault_duplicate_ && fault_duplicate_(message);
-  Message copy;
-  if (duplicate) copy = message;
-  Push(arrival, std::move(message));
-  if (duplicate) {
+  if (fault_duplicate_ && fault_duplicate_(message)) {
+    Message copy = message;
+    Push(arrival, std::move(message));
     const Tick dup_arrival = arrival + 1;
     last_arrival = dup_arrival;
     stats_.messages_sent += 1;
     stats_.bytes_sent += bytes;
     Push(dup_arrival, std::move(copy));
+    return;
   }
+  Push(arrival, std::move(message));
 }
 
-void Network::Push(Tick arrival, Message message) {
+void Network::Push(Tick arrival, Message&& message) {
   // New arrivals are almost always at or past the newest bucket, so the
   // search runs from the back.
   auto it = calendar_.end();
@@ -105,12 +91,6 @@ void Network::Push(Tick arrival, Message message) {
   calendar_.insert(it, Bucket{arrival, std::move(messages)});
 }
 
-std::vector<Message> Network::PopHead() {
-  std::vector<Message> messages = std::move(calendar_.front().messages);
-  calendar_.pop_front();
-  return messages;
-}
-
 void Network::Recycle(std::vector<Message> messages) {
   messages.clear();
   spare_.push_back(std::move(messages));
@@ -122,79 +102,76 @@ const Network::Handler& Network::HandlerFor(NodeId node) const {
   return handlers_[static_cast<size_t>(node)];
 }
 
-void Network::BeginBuffered() {
-  DCAPE_CHECK(!buffered_);
-  outboxes_.resize(handlers_.size());
-  buffered_ = true;
-}
-
-void Network::FlushBuffered() {
-  DCAPE_CHECK(buffered_);
-  buffered_ = false;
-  // The deterministic merge rule: source node id, then send order within
-  // the node. Every run — serial or parallel — funnels through this exact
-  // ordering, which is what makes thread count invisible to results.
-  for (auto& outbox : outboxes_) {
-    for (BufferedSend& send : outbox) {
-      Enqueue(std::move(send.message), send.send_time);
-    }
-    outbox.clear();
+void Network::DeliverUntil(Tick now) {
+  for (Tick t = NextArrival(); t >= 0 && t <= now; t = NextArrival()) {
+    DeliverWaves(t);
   }
 }
 
-void Network::DeliverUntil(Tick now) {
-  DCAPE_CHECK(!buffered_);
+bool Network::TakeWave(Tick now) {
+  if (calendar_.empty() || calendar_.front().arrival > now) return false;
+  node_slot_.assign(handlers_.size(), 0);
+  size_t due = 0;
   while (!calendar_.empty() && calendar_.front().arrival <= now) {
-    // The head bucket leaves the calendar before its first handler runs:
-    // a handler sending into the same tick opens a fresh head bucket,
-    // which the loop delivers next — after this bucket, as its sequence
-    // numbers demand.
-    const Tick arrival = calendar_.front().arrival;
-    std::vector<Message> messages = PopHead();
-    for (Message& message : messages) {
-      HandlerFor(message.to)(arrival, message);
+    wave_.push_back(std::move(calendar_.front()));
+    calendar_.pop_front();
+    for (const Message& m : wave_.back().messages) {
+      const auto to = static_cast<size_t>(m.to);
+      if (to >= node_slot_.size()) node_slot_.resize(to + 1, 0);
+      ++node_slot_[to];
     }
-    Recycle(std::move(messages));
+    due += wave_.back().messages.size();
+  }
+  // Group by destination without sorting: turn the per-node counts into
+  // each node's first slot, then place every message at its node's next
+  // slot. Walking the buckets in tick order and each bucket in send order
+  // keeps every group in (arrival, sequence) order.
+  uint32_t slot = 0;
+  for (uint32_t& next : node_slot_) {
+    const uint32_t count = next;
+    next = slot;
+    slot += count;
+  }
+  wave_order_.resize(due);
+  for (Bucket& bucket : wave_) {
+    for (Message& m : bucket.messages) {
+      wave_order_[node_slot_[static_cast<size_t>(m.to)]++] =
+          Due{bucket.arrival, &m};
+    }
+  }
+  return true;
+}
+
+void Network::ReleaseWave() {
+  for (Bucket& bucket : wave_) Recycle(std::move(bucket.messages));
+  wave_.clear();
+}
+
+void Network::DeliverWaves(Tick now) {
+  while (TakeWave(now)) {
+    for (const Due& d : wave_order_) {
+      HandlerFor(d.message->to)(d.arrival, *d.message);
+    }
+    ReleaseWave();
   }
 }
 
 std::vector<Network::Inbox> Network::TakeArrivals(Tick now) {
-  DCAPE_CHECK(!buffered_);
-  size_t due = 0;
-  size_t nodes = 0;
-  for (; due < calendar_.size() && calendar_[due].arrival <= now; ++due) {
-    for (const Message& m : calendar_[due].messages) {
-      nodes = std::max(nodes, static_cast<size_t>(m.to) + 1);
-    }
-  }
-  // Group by destination without sorting: count each node's deliveries,
-  // open the inboxes in ascending node order, then move every message
-  // once into its inbox. Walking the due buckets in order keeps each
-  // inbox in (arrival, sequence) order.
-  inbox_of_node_.assign(nodes, 0);
-  for (size_t b = 0; b < due; ++b) {
-    for (const Message& m : calendar_[b].messages) {
-      ++inbox_of_node_[static_cast<size_t>(m.to)];
-    }
-  }
   std::vector<Inbox> inboxes;
-  for (size_t node = 0; node < nodes; ++node) {
-    const int32_t count = inbox_of_node_[node];
-    if (count == 0) continue;
-    inbox_of_node_[node] = static_cast<int32_t>(inboxes.size());
-    inboxes.push_back(Inbox{static_cast<NodeId>(node), {}});
-    inboxes.back().deliveries.reserve(static_cast<size_t>(count));
-  }
-  for (size_t b = 0; b < due; ++b) {
-    const Tick arrival = calendar_.front().arrival;
-    std::vector<Message> messages = PopHead();
-    for (Message& m : messages) {
-      Inbox& inbox = inboxes[static_cast<size_t>(
-          inbox_of_node_[static_cast<size_t>(m.to)])];
-      inbox.deliveries.push_back(Delivery{arrival, std::move(m)});
+  if (!TakeWave(now)) return inboxes;
+  // After TakeWave, node_slot_[n] is one past node n's last slot.
+  for (size_t i = 0; i < wave_order_.size();) {
+    const NodeId node = wave_order_[i].message->to;
+    const size_t end = node_slot_[static_cast<size_t>(node)];
+    Inbox& inbox = inboxes.emplace_back();
+    inbox.node = node;
+    inbox.deliveries.reserve(end - i);
+    for (; i < end; ++i) {
+      inbox.deliveries.push_back(Delivery{
+          wave_order_[i].arrival, std::move(*wave_order_[i].message)});
     }
-    Recycle(std::move(messages));
   }
+  ReleaseWave();
   return inboxes;
 }
 

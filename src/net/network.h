@@ -19,11 +19,11 @@ namespace dcape {
 ///
 /// Stands in for the paper's private gigabit Ethernet. Messages incur a
 /// fixed per-message latency plus a size-proportional transfer time
-/// (`bytes / bytes_per_tick`). Delivery is deterministic: messages are
-/// ordered by (arrival tick, global send sequence), and each directed
-/// link (from → to) is FIFO — a later message never overtakes an earlier
-/// one on the same link, exactly like a TCP connection. The relocation
-/// protocol's drain markers rely on that FIFO property.
+/// (`bytes / bytes_per_tick`). Delivery is deterministic (see wave
+/// delivery below), and each directed link (from → to) is FIFO — a later
+/// message never overtakes an earlier one on the same link, exactly like
+/// a TCP connection. The relocation protocol's drain markers rely on
+/// that FIFO property.
 ///
 /// The queue is a calendar queue: latencies are whole ticks, so every
 /// queued message sits in the bucket of its arrival tick, and buckets are
@@ -37,14 +37,15 @@ namespace dcape {
 /// bucket vectors are recycled, so the queue itself stops allocating once
 /// it has seen its busiest tick.
 ///
-/// Parallel stepping support: during the concurrent phase of a virtual
-/// tick the driver switches the network into *buffered* mode
-/// (BeginBuffered). Sends then append to a per-source-node outbox instead
-/// of entering the global queue, which is thread-safe so long as no two
-/// concurrent tasks send on behalf of the same node. FlushBuffered merges
-/// all outboxes into the queue in (source node id, send order) order —
-/// the deterministic merge rule that makes a multi-threaded run
-/// bit-identical to the single-threaded one.
+/// Wave delivery: all messages due by `now` leave the calendar together
+/// as one *wave*, and are handed out grouped by destination in ascending
+/// node id, each destination's messages in (arrival, sequence) order. A
+/// send made while a wave is being delivered — even with zero latency —
+/// queues for a later wave. Because a handler sends only on behalf of its
+/// own node, the sends of one wave enter the calendar in (source node id,
+/// send order) order. Delivery reuses the calendar's bucket storage and a
+/// scratch index, so a wave allocates nothing once the queue has seen its
+/// busiest tick.
 class Network : public Transport {
  public:
   struct Config {
@@ -96,48 +97,36 @@ class Network : public Transport {
   /// while cross-link reordering emerges naturally. `duplicate` delivers
   /// the message a second time one tick later (a deliberate protocol
   /// violation, used to prove the harness catches one). Both hooks run
-  /// only on the main thread: Enqueue happens either outside buffered
-  /// mode or at the FlushBuffered barrier, never on pool workers.
+  /// inside Send, in send order.
   void SetFaultHooks(std::function<Tick(const Message&)> extra_delay,
                      std::function<bool(const Message&)> duplicate);
 
   /// Enqueues `message` for delivery. `message.from/to` must be set and
-  /// `to` must name a registered node by delivery time. In buffered mode
-  /// the message parks in the outbox of `message.from` until
-  /// FlushBuffered.
+  /// `to` must name a registered node by delivery time.
   void Send(Message message, Tick now) override;
 
-  /// Delivers every message whose arrival tick is <= `now`, in
-  /// deterministic order. Handlers may send further messages; those are
-  /// delivered too if they also arrive by `now` (after every message
-  /// already due at their arrival tick). Must not be called in buffered
-  /// mode (drivers use TakeArrivals/Deliver there).
+  /// Delivers every message due by `now`, wave by wave (see the class
+  /// comment), until none is due. The cluster driver's delivery step.
+  void DeliverWaves(Tick now);
+
+  /// Catches up to `now` one arrival tick at a time: DeliverWaves at each
+  /// queued arrival tick <= `now`, in tick order, so every handler runs
+  /// at its message's own arrival tick. Handlers may send further
+  /// messages; those are delivered too if they also arrive by `now`.
   void DeliverUntil(Tick now);
 
-  /// Switches Send into buffered (per-source outbox) mode. Concurrent
-  /// Send calls are safe iff each source node is driven by at most one
-  /// task at a time.
-  void BeginBuffered();
-
-  /// Merges every outbox into the global queue in (source node id, send
-  /// order) order and leaves buffered mode. Arrival times, link-FIFO
-  /// clamping, send sequence (bucket order), and traffic stats are all
-  /// applied here, at the barrier, so they are independent of task
-  /// interleaving.
-  void FlushBuffered();
-
-  /// Removes every queued message with arrival tick <= `now` and returns
-  /// them grouped by destination (ascending node id), each group in
-  /// (arrival, sequence) order. Messages sent after the call — e.g. by
-  /// handlers during the subsequent Deliver — queue for a later wave.
+  /// Removes one wave — every queued message with arrival tick <= `now`
+  /// — and returns it grouped by destination (ascending node id), each
+  /// group in (arrival, sequence) order. Messages sent after the call,
+  /// e.g. by handlers during the subsequent Deliver, queue for a later
+  /// wave. TakeArrivals then Deliver on each inbox is one DeliverWaves
+  /// wave, with the inboxes materialized.
   std::vector<Inbox> TakeArrivals(Tick now);
 
   /// Invokes `node`'s registered handler for each delivery in order.
-  /// Safe to call from pool workers for disjoint inboxes: it only reads
-  /// the handler table and the inbox itself.
   void Deliver(Inbox& inbox) const;
 
-  /// True when no message is queued (outboxes must be flushed).
+  /// True when no message is queued.
   bool idle() const { return calendar_.empty(); }
 
   /// Earliest queued arrival tick, or -1 when idle. Lets drivers fast-
@@ -153,21 +142,23 @@ class Network : public Transport {
     Tick arrival;
     std::vector<Message> messages;
   };
-  struct BufferedSend {
-    Message message;
-    Tick send_time;
+  /// One message of the current wave, in delivery order.
+  struct Due {
+    Tick arrival;
+    Message* message;
   };
 
-  /// Assigns the arrival tick (latency, transfer, jitter, link FIFO),
-  /// counts the traffic and queues the message.
-  void Enqueue(Message message, Tick now);
   /// Appends `message` to the bucket of `arrival`, opening the bucket in
   /// tick order if it does not exist yet.
-  void Push(Tick arrival, Message message);
-  /// Removes the head bucket and returns its messages; hand the vector
-  /// back through Recycle once they are consumed.
-  std::vector<Message> PopHead();
+  void Push(Tick arrival, Message&& message);
+  /// Returns a drained bucket vector to the spare pool.
   void Recycle(std::vector<Message> messages);
+  /// Moves every bucket due by `now` out of the calendar into wave_ and
+  /// fills wave_order_ with their messages in wave order. Returns false
+  /// (and takes nothing) when no message is due.
+  bool TakeWave(Tick now);
+  /// Returns the wave's bucket vectors to the spare pool.
+  void ReleaseWave();
   const Handler& HandlerFor(NodeId node) const;
 
   Config config_;
@@ -182,11 +173,15 @@ class Network : public Transport {
   /// link_last_arrival_[from][to] = last scheduled arrival on that
   /// directed link, for FIFO enforcement (kNoArrival when unused).
   std::vector<std::vector<Tick>> link_last_arrival_;
-  /// outboxes_[source node] = sends parked during buffered mode.
-  std::vector<std::vector<BufferedSend>> outboxes_;
-  /// TakeArrivals scratch: per destination node, its inbox index.
-  std::vector<int32_t> inbox_of_node_;
-  bool buffered_ = false;
+  /// The wave being delivered: its buckets, taken whole out of the
+  /// calendar so that sends made during delivery cannot touch them, and
+  /// pointers to their messages in delivery order. Both keep their
+  /// capacity from wave to wave.
+  std::vector<Bucket> wave_;
+  std::vector<Due> wave_order_;
+  /// TakeWave scratch: per destination node, its next slot in
+  /// wave_order_.
+  std::vector<uint32_t> node_slot_;
   Stats stats_;
 };
 

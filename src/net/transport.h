@@ -29,11 +29,10 @@ namespace dcape {
 /// engine link behind the tuple traffic and prove, on arrival, that no
 /// pre-pause tuple is still in flight.
 ///
-/// Threading: RegisterNode is wiring-time only (before any Send). Send
-/// is safe to call concurrently so long as each source node is driven by
-/// at most one thread at a time — the discipline both the parallel
-/// simulator (buffered outboxes) and the realtime driver (one thread per
-/// node) maintain.
+/// Threading: RegisterNode is wiring-time only (before any Send). The
+/// simulator's Network is single-threaded. SpscTransport's Send is safe
+/// to call concurrently so long as each source node is driven by at most
+/// one thread at a time — the realtime driver runs one thread per node.
 class Transport {
  public:
   /// Per-message delivery callback; `now` is the delivery time in the

@@ -16,7 +16,7 @@ std::optional<EngineId> Split::Route(const Tuple& tuple) {
   const PartitionId partition = StreamGenerator::PartitionOfKey(tuple.join_key);
   DCAPE_CHECK_GE(partition, 0);
   DCAPE_CHECK_LT(static_cast<size_t>(partition), routing_.size());
-  if (paused_.count(partition) > 0) {
+  if (!paused_.empty() && paused_.count(partition) > 0) {
     buffered_.push_back(tuple);
     return std::nullopt;
   }

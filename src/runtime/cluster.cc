@@ -227,52 +227,16 @@ Cluster::Cluster(const ClusterConfig& config)
   throughput_series_.set_name("cumulative_results");
 }
 
-void Cluster::DeliverWaves(Tick now) {
-  // Delivery supersteps: each wave removes every message due by `now`,
-  // drains the engine/split-host inboxes concurrently on the pool, the
-  // coordinator/sink inboxes on the caller, and merges all sends in
-  // (node id, send order) order at the barrier. Handlers only touch
-  // their own node's state, so disjoint inboxes never race; the merge
-  // rule makes the schedule identical for every pool size. The loop
-  // repeats for zero-latency sends that fall due within the same tick.
-  while (true) {
-    const Tick next = network_.NextArrival();
-    if (next < 0 || next > now) break;
-    std::vector<Network::Inbox> inboxes = network_.TakeArrivals(now);
-    network_.BeginBuffered();
-    std::vector<Network::Inbox*> concurrent;
-    concurrent.reserve(inboxes.size());
-    for (Network::Inbox& inbox : inboxes) {
-      if (IsConcurrentNode(inbox.node)) concurrent.push_back(&inbox);
-    }
-    pool_.ParallelFor(static_cast<int>(concurrent.size()),
-                      [&](int i) { network_.Deliver(*concurrent[i]); });
-    for (Network::Inbox& inbox : inboxes) {
-      if (!IsConcurrentNode(inbox.node)) network_.Deliver(inbox);
-    }
-    network_.FlushBuffered();
-  }
-}
-
 void Cluster::StepTick(Tick now, bool generate) {
-  DeliverWaves(now);
+  network_.DeliverWaves(now);
   generator_->OnTick(now, generate);
-  // Injected stalls are sampled here, in engine-id order on the main
-  // thread, so the fault sequence is identical for every --threads
-  // value.
   if (config_.fault_plan != nullptr) {
     for (EngineId e = 0; e < config_.num_engines; ++e) {
       const Tick stall = config_.fault_plan->SampleStall(e);
       if (stall > 0) engines_[static_cast<size_t>(e)]->InjectStall(now, stall);
     }
   }
-  // Engine housekeeping (pending batches, spill checks, stats) is
-  // per-engine state only; their sends buffer and merge like a wave.
-  network_.BeginBuffered();
-  pool_.ParallelFor(static_cast<int>(engines_.size()), [&](int i) {
-    engines_[static_cast<size_t>(i)]->OnTick(now);
-  });
-  network_.FlushBuffered();
+  for (auto& engine : engines_) engine->OnTick(now);
   if (!draining_) coordinator_->OnTick(now);
 }
 
@@ -288,8 +252,8 @@ void Cluster::SampleIfDue(Tick now, bool force) {
         static_cast<double>(engines_[static_cast<size_t>(e)]->state_bytes()));
   }
   // Sampled counter events ride the trace at the same cadence as the
-  // series. This runs serially between ticks, so emitting on other
-  // nodes' lanes honors the one-writer-per-lane contract.
+  // series. This runs between ticks, so emitting on other nodes' lanes
+  // honors the one-writer-per-lane contract.
   if (DCAPE_TRACE_ACTIVE(tracer_.get())) {
     for (EngineId e = 0; e < config_.num_engines; ++e) {
       const QueryEngine& engine = *engines_[static_cast<size_t>(e)];

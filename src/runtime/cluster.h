@@ -108,22 +108,14 @@ class Cluster {
   const obs::Tracer* tracer() const { return tracer_.get(); }
 
  private:
+  /// One virtual tick: delivers every message due by `now`
+  /// (Network::DeliverWaves), emits the generator's tuples, then runs the
+  /// engines' OnTick in engine-id order and the coordinator's.
   void StepTick(Tick now, bool generate);
   void SampleIfDue(Tick now, bool force = false);
-  /// Delivers every message due at `now` in deterministic waves: engine
-  /// and split-host inboxes drain concurrently on the pool, the
-  /// coordinator/sink inboxes drain on the caller, and all sends merge at
-  /// the wave barrier in (node id, send order) order.
-  void DeliverWaves(Tick now);
   /// True when the whole pipeline is idle: no queued messages, no
   /// buffered split tuples, no busy/backlogged engines.
   bool Quiescent(Tick now) const;
-  /// True for nodes whose inboxes may be drained concurrently (each such
-  /// node's state is touched only by its own task).
-  bool IsConcurrentNode(NodeId node) const {
-    return node < static_cast<NodeId>(config_.num_engines) ||
-           node > generator_node_;
-  }
 
   ClusterConfig config_;
   NodeId coordinator_node_;
@@ -134,6 +126,8 @@ class Cluster {
   obs::MetricsRegistry metrics_;
   /// Null unless config_.trace; lanes = every node + one driver lane.
   std::unique_ptr<obs::Tracer> tracer_;
+  /// Cleanup fan-out workers (config_.num_threads); the run-time phase is
+  /// serial.
   ExecPool pool_;
   Network network_;
   std::vector<EngineId> placement_;

@@ -36,10 +36,10 @@ struct ClusterConfig {
   /// count; streams are assigned round-robin). 1 colocates every split
   /// with the generator node, the paper's described deployment.
   int num_split_hosts = 1;
-  /// Worker threads stepping the engines and split hosts within each
-  /// virtual tick (see runtime/exec_pool.h). Results are bit-identical
-  /// for every value: sends are buffered per node and merged in
-  /// deterministic order at the tick barrier. 1 = fully serial.
+  /// Worker threads of the cleanup phase's per-partition fan-out (see
+  /// runtime/exec_pool.h). The run-time phase always steps serially.
+  /// Results are bit-identical for every value: per-partition outcomes
+  /// merge in partition order. 1 = fully serial.
   int num_threads = 1;
   WorkloadConfig workload;
   /// When non-empty, replay this recorded trace instead of generating the
@@ -120,8 +120,9 @@ struct ClusterConfig {
   /// owns a deterministic Tracer, every adaptation decision, relocation
   /// protocol phase, spill/evict/restore, and cleanup pass emits a
   /// virtual-clock-stamped event, and the trace is exportable as Chrome
-  /// trace_event JSON (dcape_run --trace-out). Bit-identical for every
-  /// `num_threads`; off = zero cost (no tracer is constructed).
+  /// trace_event JSON (dcape_run --trace-out). Bit-identical across
+  /// reruns and every `num_threads`; off = zero cost (no tracer is
+  /// constructed).
   bool trace = false;
   /// Additionally record hot-path data-plane events (per-batch engine
   /// instants). Large traces; off by default.

@@ -11,9 +11,9 @@
 
 namespace dcape {
 
-/// A fixed-size worker pool with a fork/join barrier, used to step the
-/// cluster's independent nodes (query engines, split hosts) concurrently
-/// within one virtual tick.
+/// A fixed-size worker pool with a fork/join barrier, used to fan the
+/// cleanup phase out over partitions (CleanupProcessor::Run). The grain
+/// is a whole partition's merge, coarse enough to repay a barrier.
 ///
 /// The pool deliberately has no queues, futures, or task ownership: one
 /// ParallelFor call is one barrier. The caller's thread participates in
@@ -23,9 +23,9 @@ namespace dcape {
 ///
 /// Determinism contract: ParallelFor guarantees only that fn(0..n-1) all
 /// complete before it returns. Tasks must not share mutable state; the
-/// cluster gives each task one node and buffers its network sends
-/// per-node (see net::Network's outboxes), so the merged outcome is
-/// independent of how tasks interleave.
+/// cleanup gives each task one partition and folds the per-partition
+/// outcomes in partition order, so the merged outcome is independent of
+/// how tasks interleave.
 class ExecPool {
  public:
   /// A pool with `num_workers` total execution lanes (>= 1). Lane 0 is

@@ -335,8 +335,9 @@ query / workload:
 cluster / run:
   --engines=N            query engines                           [2]
   --split-hosts=N        nodes hosting the split operators       [1]
-  --threads=N            worker threads stepping the cluster
-                         (results are identical for any value)   [1]
+  --threads=N            cleanup-phase worker threads; the run-time
+                         phase is serial (results are identical
+                         for any value)                          [1]
   --placement=F,F,...    initial partition shares per engine     [uniform]
   --duration-min=N       run-time phase length (virtual)         [10]
 

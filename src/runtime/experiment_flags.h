@@ -53,7 +53,7 @@ struct ExperimentOptions {
 /// Supported flags (defaults in brackets):
 ///   --strategy=all-mem|spill-only|relocation-only|lazy-disk|active-disk
 ///   --engines=N [2]           --split-hosts=N [1]
-///   --threads=N [1]           (worker threads; results identical)
+///   --threads=N [1]           (cleanup worker threads; results identical)
 ///   --streams=N [3]           --partitions=N [60]
 ///   --duration-min=N [10]     --inter-arrival-ms=N [10]
 ///   --join-rate=F [3]         --tuple-range=N [180000]

@@ -1,6 +1,6 @@
 #include "runtime/generator_node.h"
 
-#include <map>
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -24,6 +24,16 @@ GeneratorNode::GeneratorNode(NodeId node_id,
     trace_writer_ =
         std::make_unique<TraceWriter>(source_->num_streams(), record_trace);
   }
+  batches_.resize(split_host_of_stream_.size());
+  for (StreamId s = 0; s < source_->num_streams(); ++s) {
+    batches_[static_cast<size_t>(s)].stream_id = s;
+    send_order_.push_back(s);
+  }
+  std::stable_sort(send_order_.begin(), send_order_.end(),
+                   [this](StreamId a, StreamId b) {
+                     return split_host_of_stream_[static_cast<size_t>(a)] <
+                            split_host_of_stream_[static_cast<size_t>(b)];
+                   });
 }
 
 void GeneratorNode::OnTick(Tick now, bool generate) {
@@ -34,19 +44,20 @@ void GeneratorNode::OnTick(Tick now, bool generate) {
     for (const Tuple& t : tuples) trace_writer_->Append(now, t);
   }
 
-  std::map<std::pair<NodeId, StreamId>, TupleBatch> batches;
   for (Tuple& t : tuples) {
-    const NodeId host =
-        split_host_of_stream_[static_cast<size_t>(t.stream_id)];
-    TupleBatch& batch = batches[{host, t.stream_id}];
-    batch.stream_id = t.stream_id;
-    batch.tuples.push_back(std::move(t));
+    batches_[static_cast<size_t>(t.stream_id)].tuples.push_back(std::move(t));
   }
-  for (auto& [key, batch] : batches) {
+  for (StreamId s : send_order_) {
+    TupleBatch& batch = batches_[static_cast<size_t>(s)];
+    if (batch.tuples.empty()) continue;
     batch.emit_wall_us = emit_wall_us_;
-    network_->Send(MakeTupleBatchMessage(node_id_, key.first,
-                                         std::move(batch)),
-                   now);
+    // Moving the batch out leaves its tuple vector empty and its stream
+    // id in place for the next tick.
+    network_->Send(
+        MakeTupleBatchMessage(node_id_,
+                              split_host_of_stream_[static_cast<size_t>(s)],
+                              std::move(batch)),
+        now);
   }
 }
 

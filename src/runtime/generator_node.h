@@ -8,6 +8,7 @@
 #include "common/ids.h"
 #include "common/virtual_clock.h"
 #include "net/transport.h"
+#include "tuple/tuple.h"
 #include "stream/input_source.h"
 #include "stream/trace.h"
 
@@ -51,6 +52,11 @@ class GeneratorNode {
   NodeId node_id_;
   std::unique_ptr<InputSource> source_;
   std::vector<NodeId> split_host_of_stream_;
+  /// The streams in ascending (split host, stream) order, the order a
+  /// tick's batches are sent in.
+  std::vector<StreamId> send_order_;
+  /// Per-tick scratch: batches_[s] gathers stream s's tuples.
+  std::vector<TupleBatch> batches_;
   Transport* network_;
   std::unique_ptr<TraceWriter> trace_writer_;
   int64_t emit_wall_us_ = 0;

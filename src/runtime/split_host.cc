@@ -1,5 +1,6 @@
 #include "runtime/split_host.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -44,21 +45,38 @@ const Split& SplitHost::split(StreamId stream) const {
 
 void SplitHost::RouteAndSend(Tick now, std::vector<Tuple> tuples,
                              int64_t emit_wall_us) {
-  std::map<std::pair<EngineId, StreamId>, TupleBatch> batches;
-  for (Tuple& tuple : tuples) {
-    Split& split = this->split(tuple.stream_id);
-    std::optional<EngineId> engine = split.Route(tuple);
-    if (!engine.has_value()) continue;  // buffered (paused partition)
-    TupleBatch& batch = batches[{*engine, tuple.stream_id}];
-    batch.stream_id = tuple.stream_id;
-    batch.tuples.push_back(std::move(tuple));
-  }
-  for (auto& [key, batch] : batches) {
+  const int64_t streams = splits_.rbegin()->first + 1;
+  auto send = [&](int64_t slot, std::vector<Tuple> routed) {
+    TupleBatch batch;
+    batch.stream_id = static_cast<StreamId>(slot % streams);
+    batch.tuples = std::move(routed);
     batch.emit_wall_us = emit_wall_us;
     network_->Send(MakeTupleBatchMessage(config_.node_id,
-                                         static_cast<NodeId>(key.first),
+                                         static_cast<NodeId>(slot / streams),
                                          std::move(batch)),
                    now);
+  };
+  route_slot_.clear();
+  for (const Tuple& tuple : tuples) {
+    // No engine: the partition is paused and the split buffered a copy.
+    std::optional<EngineId> engine = split(tuple.stream_id).Route(tuple);
+    route_slot_.push_back(engine ? *engine * streams + tuple.stream_id : -1);
+  }
+  if (std::all_of(route_slot_.begin(), route_slot_.end(),
+                  [this](int64_t slot) { return slot == route_slot_[0]; })) {
+    if (route_slot_[0] >= 0) send(route_slot_[0], std::move(tuples));
+    return;
+  }
+  for (size_t i = 0; i < tuples.size(); ++i) {
+    if (route_slot_[i] < 0) continue;
+    const auto slot = static_cast<size_t>(route_slot_[i]);
+    if (slot >= slot_tuples_.size()) slot_tuples_.resize(slot + 1);
+    slot_tuples_[slot].push_back(std::move(tuples[i]));
+  }
+  for (size_t slot = 0; slot < slot_tuples_.size(); ++slot) {
+    if (!slot_tuples_[slot].empty()) {
+      send(static_cast<int64_t>(slot), std::move(slot_tuples_[slot]));
+    }
   }
 }
 

@@ -28,7 +28,7 @@ struct SplitHostConfig {
   NodeId coordinator_node = kInvalidNode;
   /// The input streams whose split operators live on this host. The
   /// paper distributes the stateless splits over the cluster machines
-  /// (Â§2); a single host carrying all streams is the degenerate case.
+  /// (§2); a single host carrying all streams is the degenerate case.
   std::vector<StreamId> streams;
   /// Optional WHERE predicate per hosted stream (parallel to `streams`;
   /// empty = no selection).
@@ -94,7 +94,10 @@ class SplitHost {
   /// (realtime runs) is copied onto every outgoing batch.
   void FilterAndRoute(Tick now, std::vector<Tuple> tuples,
                       int64_t emit_wall_us);
-  /// Routes tuples (no filtering â used for buffered re-release too).
+  /// Routes tuples (no filtering — used for buffered re-release too) and
+  /// sends one batch per (engine, stream) in ascending (engine, stream)
+  /// order. When every routed tuple goes to one (engine, stream), the
+  /// vector itself travels on.
   void RouteAndSend(Tick now, std::vector<Tuple> tuples,
                     int64_t emit_wall_us);
 
@@ -106,6 +109,11 @@ class SplitHost {
   std::map<StreamId, std::unique_ptr<Split>> splits_;
   std::map<StreamId, std::unique_ptr<SelectOp>> selects_;
   std::unique_ptr<ProjectOp> project_;
+  /// RouteAndSend scratch: each tuple's slot, engine * (highest hosted
+  /// stream + 1) + stream (-1 when buffered), and the tuples gathered
+  /// per slot.
+  std::vector<int64_t> route_slot_;
+  std::vector<std::vector<Tuple>> slot_tuples_;
 };
 
 }  // namespace dcape

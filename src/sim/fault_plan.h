@@ -78,12 +78,12 @@ struct FaultSpec {
 
 /// The seeded fault source for one chaos trial.
 ///
-/// Determinism contract: network draws happen only on the main thread
-/// (Network::Enqueue runs under the tick barrier's merge), disk draws
-/// come from a per-engine stream whose operation order is fixed by the
-/// virtual schedule, and stall draws are made in engine-id order each
-/// tick. Re-running with the same spec and seed therefore replays the
-/// identical fault sequence for any --threads value.
+/// Determinism contract: network draws happen only on the simulator's
+/// thread, inside Network::Send, disk draws come from a per-engine stream
+/// whose operation order is fixed by the virtual schedule, and stall
+/// draws are made in engine-id order each tick. Re-running with the same
+/// spec and seed therefore replays the identical fault sequence for any
+/// --threads value.
 ///
 /// Heal() turns every fault off; the harness calls it between the
 /// runtime phase and drain/cleanup so that faults stay output-

@@ -25,7 +25,8 @@ struct Scenario {
 /// Samples a scenario from `seed`. Every knob the strategies react to is
 /// in play: cluster size, strategy, segment format per engine, spill /
 /// relocation thresholds and timers, skewed and fluctuating workloads,
-/// window semantics, online restore, worker threads, async spill I/O.
+/// window semantics, online restore, cleanup worker threads, async spill
+/// I/O.
 /// Fault classes are enabled independently; write faults are never
 /// combined with async I/O (a failed write after the metadata committed
 /// is genuine data loss, not a survivable fault).

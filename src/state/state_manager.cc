@@ -1,5 +1,6 @@
 #include "state/state_manager.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/check.h"
@@ -22,14 +23,11 @@ StateManager::StateManager(int num_streams,
 
 int64_t StateManager::ProcessTuple(PartitionId partition, const Tuple& tuple,
                                    std::vector<JoinResult>* results) {
-  auto it = groups_.find(partition);
-  if (it == groups_.end()) {
-    it = groups_
-             .emplace(partition,
-                      std::make_unique<PartitionGroup>(partition, num_streams_))
-             .first;
+  std::unique_ptr<PartitionGroup>& slot = Slot(partition);
+  if (slot == nullptr) {
+    slot = std::make_unique<PartitionGroup>(partition, num_streams_);
   }
-  PartitionGroup& group = *it->second;
+  PartitionGroup& group = *slot;
   const int64_t bytes_before = group.bytes();
   const int64_t produced = group.ProbeAndInsert(
       tuple, results, projection_.has_value() ? &*projection_ : nullptr,
@@ -51,9 +49,8 @@ std::vector<StateManager::ExtractedGroup> StateManager::ExtractGroups(
   std::vector<ExtractedGroup> extracted;
   extracted.reserve(partitions.size());
   for (PartitionId partition : partitions) {
-    auto it = groups_.find(partition);
-    if (it == groups_.end()) continue;
-    PartitionGroup& group = *it->second;
+    if (Find(partition) == nullptr) continue;
+    PartitionGroup& group = *Find(partition);
     ExtractedGroup out;
     out.partition = partition;
     out.bytes = group.bytes();
@@ -62,7 +59,7 @@ std::vector<StateManager::ExtractedGroup> StateManager::ExtractGroups(
     group.Serialize(&out.blob, segment_format_);
     total_bytes_ -= group.bytes();
     total_tuples_ -= group.tuple_count();
-    groups_.erase(it);
+    Slot(partition).reset();
     extracted.push_back(std::move(out));
   }
   return extracted;
@@ -107,9 +104,8 @@ std::vector<StateManager::ExtractedGroup> StateManager::ExtractColdState(
     PartitionId partition, int64_t target_bytes, int64_t max_piece_bytes,
     int max_depth) {
   if (target_bytes <= 0) return {};
-  auto it = groups_.find(partition);
-  if (it == groups_.end() || IsLocked(partition)) return {};
-  PartitionGroup& group = *it->second;
+  if (Find(partition) == nullptr || IsLocked(partition)) return {};
+  PartitionGroup& group = *Find(partition);
   DCAPE_CHECK_GE(max_piece_bytes, 1);
   DCAPE_CHECK_GE(max_depth, 0);
 
@@ -129,7 +125,7 @@ std::vector<StateManager::ExtractedGroup> StateManager::ExtractColdState(
     cold = std::move(group);
     total_bytes_ -= cold.bytes();
     total_tuples_ -= cold.tuple_count();
-    groups_.erase(it);
+    Slot(partition).reset();
   }
 
   std::vector<std::pair<PartitionGroup, int>> pieces;
@@ -159,12 +155,11 @@ Status StateManager::InstallGroup(std::string_view blob) {
   }
   total_bytes_ += group.bytes();
   total_tuples_ += group.tuple_count();
-  auto it = groups_.find(group.partition());
-  if (it == groups_.end()) {
-    groups_.emplace(group.partition(),
-                    std::make_unique<PartitionGroup>(std::move(group)));
+  std::unique_ptr<PartitionGroup>& slot = Slot(group.partition());
+  if (slot == nullptr) {
+    slot = std::make_unique<PartitionGroup>(std::move(group));
   } else {
-    it->second->MergeFrom(std::move(group));
+    slot->MergeFrom(std::move(group));
   }
   return Status::OK();
 }
@@ -172,8 +167,9 @@ Status StateManager::InstallGroup(std::string_view blob) {
 StateManager::EvictionPass StateManager::EvictExpired(
     Tick cutoff, const std::set<PartitionId>& preserve) {
   EvictionPass pass;
-  std::vector<PartitionId> emptied;
-  for (auto& [partition, group] : groups_) {
+  for (auto& group : groups_) {
+    if (group == nullptr) continue;
+    const PartitionId partition = group->partition();
     const bool keep = preserve.count(partition) > 0;
     std::optional<PartitionGroup> expired;
     if (keep) expired.emplace(partition, num_streams_);
@@ -190,9 +186,8 @@ StateManager::EvictionPass StateManager::EvictExpired(
       ++pass.dropped_groups;
       pass.dropped_tuples += moved;
     }
-    if (group->empty()) emptied.push_back(partition);
+    if (group->empty()) group.reset();
   }
-  for (PartitionId p : emptied) groups_.erase(p);
   return pass;
 }
 
@@ -212,24 +207,36 @@ bool StateManager::IsLocked(PartitionId partition) const {
 std::vector<GroupStats> StateManager::SnapshotStats(
     bool exclude_locked) const {
   std::vector<GroupStats> stats;
-  stats.reserve(groups_.size());
-  for (const auto& [partition, group] : groups_) {
-    if (exclude_locked && IsLocked(partition)) continue;
+  for (const auto& group : groups_) {
+    if (group == nullptr) continue;
+    if (exclude_locked && IsLocked(group->partition())) continue;
     stats.push_back(group->Stats());
   }
   return stats;
 }
 
 const PartitionGroup* StateManager::FindGroup(PartitionId partition) const {
-  auto it = groups_.find(partition);
-  return it == groups_.end() ? nullptr : it->second.get();
+  return Find(partition);
 }
 
 std::vector<PartitionId> StateManager::PartitionIds() const {
   std::vector<PartitionId> ids;
-  ids.reserve(groups_.size());
-  for (const auto& [partition, group] : groups_) ids.push_back(partition);
+  for (const auto& group : groups_) {
+    if (group != nullptr) ids.push_back(group->partition());
+  }
   return ids;
+}
+
+int64_t StateManager::group_count() const {
+  return std::count_if(groups_.begin(), groups_.end(),
+                       [](const auto& group) { return group != nullptr; });
+}
+
+std::unique_ptr<PartitionGroup>& StateManager::Slot(PartitionId partition) {
+  DCAPE_CHECK_GE(partition, 0);
+  const auto index = static_cast<size_t>(partition);
+  if (index >= groups_.size()) groups_.resize(index + 1);
+  return groups_[index];
 }
 
 }  // namespace dcape

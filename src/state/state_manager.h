@@ -143,7 +143,7 @@ class StateManager {
   std::vector<PartitionId> PartitionIds() const;
 
   int64_t total_bytes() const { return total_bytes_; }
-  int64_t group_count() const { return static_cast<int64_t>(groups_.size()); }
+  int64_t group_count() const;
   int64_t total_tuples() const { return total_tuples_; }
   /// Cumulative join results produced by ProcessTuple.
   int64_t total_outputs() const { return total_outputs_; }
@@ -159,12 +159,23 @@ class StateManager {
   /// partial-extraction paths).
   ExtractedGroup SerializePiece(PartitionGroup&& piece, bool partial,
                                 int sub_depth);
+  /// The resident group of `partition`, or null.
+  PartitionGroup* Find(PartitionId partition) const {
+    return static_cast<size_t>(partition) < groups_.size()
+               ? groups_[static_cast<size_t>(partition)].get()
+               : nullptr;
+  }
+  /// The slot holding `partition`'s group (null when none), grown on
+  /// demand.
+  std::unique_ptr<PartitionGroup>& Slot(PartitionId partition);
 
   int num_streams_;
   std::optional<ResultProjection> projection_;
   Tick window_ticks_;
   SegmentFormat segment_format_;
-  std::map<PartitionId, std::unique_ptr<PartitionGroup>> groups_;
+  /// groups_[p] = partition p's resident group, or null: one index per
+  /// probe, and iteration in ascending partition order.
+  std::vector<std::unique_ptr<PartitionGroup>> groups_;
   std::map<PartitionId, bool> locked_;
   std::set<PartitionId> disk_backed_;
   int64_t cold_probe_misses_ = 0;

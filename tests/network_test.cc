@@ -108,7 +108,7 @@ TEST_F(NetworkTest, DistinctLinksDoNotBlockEachOther) {
   EXPECT_EQ(deliveries_[1].node, 1);
 }
 
-TEST_F(NetworkTest, DeterministicTieBreakBySendOrder) {
+TEST_F(NetworkTest, DeterministicTieBreakByDestination) {
   Network::Config config;
   config.latency_ticks = 1;
   config.bytes_per_tick = 1 << 30;
@@ -116,12 +116,14 @@ TEST_F(NetworkTest, DeterministicTieBreakBySendOrder) {
   Register(&net, 1);
   Register(&net, 2);
 
+  // Same arrival tick: the lower destination id goes first, whatever
+  // the send order.
   net.Send(SmallMessage(0, 2), 0);
   net.Send(SmallMessage(0, 1), 0);
   net.DeliverUntil(5);
   ASSERT_EQ(deliveries_.size(), 2u);
-  EXPECT_EQ(deliveries_[0].node, 2);
-  EXPECT_EQ(deliveries_[1].node, 1);
+  EXPECT_EQ(deliveries_[0].node, 1);
+  EXPECT_EQ(deliveries_[1].node, 2);
 }
 
 TEST_F(NetworkTest, StatsTrackMessagesAndBytes) {
@@ -279,22 +281,18 @@ TEST(NetworkCalendarTest, SameTickSendsGroupByDestinationInSequenceOrder) {
   EXPECT_EQ(log.size(), sends.size());
   EXPECT_TRUE(batched.idle());
 
-  // DeliverUntil keeps the global (arrival, sequence) order instead.
-  Network serial(config);
-  std::vector<Arrival> serial_log;
-  RegisterTagged(&serial, 1, &serial_log);
-  RegisterTagged(&serial, 2, &serial_log);
+  // DeliverUntil hands out the same grouping.
+  Network pumped(config);
+  std::vector<Arrival> pumped_log;
+  RegisterTagged(&pumped, 1, &pumped_log);
+  RegisterTagged(&pumped, 2, &pumped_log);
   for (size_t i = 0; i < sends.size(); ++i) {
-    serial.Send(TaggedMessage(sends[i].first, sends[i].second,
+    pumped.Send(TaggedMessage(sends[i].first, sends[i].second,
                               static_cast<int>(i)),
                 5);
   }
-  serial.DeliverUntil(7);
-  ASSERT_EQ(serial_log.size(), sends.size());
-  for (size_t i = 0; i < sends.size(); ++i) {
-    EXPECT_EQ(serial_log[i].tag, static_cast<int>(i));
-    EXPECT_EQ(serial_log[i].node, sends[i].second);
-  }
+  pumped.DeliverUntil(7);
+  EXPECT_EQ(pumped_log, log);
 }
 
 TEST(NetworkCalendarTest, TakeArrivalsSpansSeveralTicksInArrivalOrder) {
@@ -395,24 +393,121 @@ TEST(NetworkCalendarTest, NextArrivalAndIdleAcrossEmptyTicks) {
   EXPECT_EQ(net.NextArrival(), 22);
 }
 
-TEST(NetworkCalendarTest, BufferedSendsMergeBySourceNode) {
+// ---- Wave delivery ---------------------------------------------------
+
+TEST(NetworkWaveTest, WaveGoesByAscendingDestinationInArrivalSequenceOrder) {
   Network::Config config;
   config.latency_ticks = 1;
   config.bytes_per_tick = 1 << 30;
   Network net(config);
   std::vector<Arrival> log;
-  for (NodeId n = 0; n < 4; ++n) RegisterTagged(&net, n, &log);
-  net.BeginBuffered();
-  net.Send(TaggedMessage(3, 0, 0), 0);
-  net.Send(TaggedMessage(1, 0, 1), 0);
-  net.Send(TaggedMessage(3, 0, 2), 0);
-  net.Send(TaggedMessage(2, 0, 3), 0);
+  for (NodeId n = 1; n <= 3; ++n) RegisterTagged(&net, n, &log);
+  // Interleaved sources and destinations over three send ticks, all due
+  // by tick 5; the later send ticks come first in send order.
+  net.Send(TaggedMessage(7, 3, 0), /*now=*/3);  // arrives 5
+  net.Send(TaggedMessage(8, 1, 1), /*now=*/3);  // 5
+  net.Send(TaggedMessage(9, 2, 2), /*now=*/1);  // 3
+  net.Send(TaggedMessage(7, 1, 3), /*now=*/1);  // 3
+  net.Send(TaggedMessage(9, 3, 4), /*now=*/2);  // 4
+  net.Send(TaggedMessage(8, 2, 5), /*now=*/3);  // 5
+  net.Send(TaggedMessage(9, 1, 6), /*now=*/2);  // 4
+  net.Send(TaggedMessage(7, 1, 7), /*now=*/9);  // 11: not due
+  net.DeliverWaves(5);
+  EXPECT_EQ(log, (std::vector<Arrival>{{1, 3, 3},
+                                       {1, 4, 6},
+                                       {1, 5, 1},
+                                       {2, 3, 2},
+                                       {2, 5, 5},
+                                       {3, 4, 4},
+                                       {3, 5, 0}}));
+  EXPECT_EQ(net.NextArrival(), 11);
+}
+
+TEST(NetworkWaveTest, SendsMadeInsideAWaveLandInALaterWave) {
+  Network::Config config;
+  config.latency_ticks = 0;
+  config.bytes_per_tick = 0;  // no transfer time: arrival == send tick
+  Network net(config);
+  std::vector<Arrival> log;
+  // Node 2 forwards to node 1, a lower id than its own: in one wave node
+  // 1 would come first, so the forwarded message must wait for the next
+  // wave, behind node 3's message of the current one.
+  net.RegisterNode(2, [&](Tick now, const Message& m) {
+    log.push_back({2, now, TagOf(m)});
+    if (TagOf(m) < 100) net.Send(TaggedMessage(2, 1, TagOf(m) + 100), now);
+  });
+  RegisterTagged(&net, 1, &log);
+  RegisterTagged(&net, 3, &log);
+  net.Send(TaggedMessage(0, 3, 0), /*now=*/5);
+  net.Send(TaggedMessage(0, 2, 1), /*now=*/5);
+  net.Send(TaggedMessage(0, 1, 2), /*now=*/5);
+  net.DeliverWaves(5);
+  EXPECT_EQ(log, (std::vector<Arrival>{
+                     {1, 5, 2}, {2, 5, 1}, {3, 5, 0}, {1, 5, 101}}));
   EXPECT_TRUE(net.idle());
-  net.FlushBuffered();
-  net.DeliverUntil(10);
-  std::vector<int> tags;
-  for (const Arrival& a : log) tags.push_back(a.tag);
-  EXPECT_EQ(tags, (std::vector<int>{1, 3, 0, 2}));
+}
+
+TEST(NetworkWaveTest, DeliverWavesMatchesTakeArrivalsThenDeliver) {
+  // A randomized multi-source schedule with forwarding handlers. Every
+  // send arrives the tick it is made, delivery runs every third tick (so
+  // a wave spans several arrival ticks) and forwarded messages fall due
+  // at once (so one call holds several waves). The single-call drain and
+  // the materialized TakeArrivals + Deliver loop must deliver the same
+  // messages at the same ticks in the same order.
+  constexpr NodeId kNodes = 6;
+  struct Run {
+    Network net;
+    std::vector<Arrival> log;
+    explicit Run(const Network::Config& config) : net(config) {}
+  };
+  Network::Config config;
+  config.latency_ticks = 0;
+  config.bytes_per_tick = 0;
+  auto wire = [](Run* run) {
+    for (NodeId n = 0; n < kNodes; ++n) {
+      run->net.RegisterNode(n, [run, n](Tick now, const Message& m) {
+        const int tag = TagOf(m);
+        run->log.push_back({n, now, tag});
+        // Forward a third of the messages once, chosen by tag.
+        if (tag < 10000 && tag % 3 == 0) {
+          const NodeId to = static_cast<NodeId>((tag / 3) % kNodes);
+          run->net.Send(TaggedMessage(n, to, tag + 10000), now);
+        }
+      });
+    }
+  };
+  Run waves(config);
+  Run inboxes(config);
+  wire(&waves);
+  wire(&inboxes);
+
+  uint64_t state = 12345;
+  auto next = [&state](uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  int tag = 0;
+  for (Tick now = 0; now < 400; ++now) {
+    const uint64_t sends = next(4);
+    for (uint64_t i = 0; i < sends; ++i) {
+      const auto from = static_cast<NodeId>(next(kNodes));
+      const auto to = static_cast<NodeId>(next(kNodes));
+      waves.net.Send(TaggedMessage(from, to, tag), now);
+      inboxes.net.Send(TaggedMessage(from, to, tag), now);
+      ++tag;
+    }
+    if (now % 3 != 2) continue;
+    waves.net.DeliverWaves(now);
+    while (inboxes.net.NextArrival() >= 0 &&
+           inboxes.net.NextArrival() <= now) {
+      std::vector<Network::Inbox> taken = inboxes.net.TakeArrivals(now);
+      for (Network::Inbox& inbox : taken) inboxes.net.Deliver(inbox);
+    }
+  }
+  EXPECT_GT(waves.log.size(), 500u);
+  EXPECT_EQ(waves.log, inboxes.log);
+  EXPECT_EQ(waves.net.stats().messages_sent,
+            inboxes.net.stats().messages_sent);
 }
 
 TEST(MessageTest, TypeNamesAreStable) {

@@ -311,7 +311,7 @@ TEST(PartialSpillTest, GradualSpillMatchesAllMemoryOracle) {
   EXPECT_EQ(ToMultiset(AllResults(run)), ToMultiset(ReferenceResults(config)));
 }
 
-TEST(PartialSpillTest, GradualSpillIsThreadCountInvariant) {
+TEST(PartialSpillTest, GradualSpillRepeatsAcrossRerunsAndCleanupWorkers) {
   ClusterConfig config = SmallClusterConfig();
   config.strategy = AdaptationStrategy::kSpillOnly;
   config.spill.memory_threshold_bytes = 24 * kKiB;
@@ -321,17 +321,19 @@ TEST(PartialSpillTest, GradualSpillIsThreadCountInvariant) {
   config.num_threads = 1;
   RunResult serial = Cluster(config).Run();
   ASSERT_GT(serial.storage.partial_segments_written, 0);
-  for (int threads : {4, 8}) {
+  // A rerun (threads=1 again), then cleanup fanned out over 4 and 8
+  // workers.
+  for (int threads : {1, 4, 8}) {
     config.num_threads = threads;
-    RunResult parallel = Cluster(config).Run();
-    EXPECT_EQ(serial.runtime_results, parallel.runtime_results)
+    RunResult again = Cluster(config).Run();
+    EXPECT_EQ(serial.runtime_results, again.runtime_results)
         << "threads=" << threads;
-    EXPECT_EQ(serial.spill_events, parallel.spill_events)
+    EXPECT_EQ(serial.spill_events, again.spill_events)
         << "threads=" << threads;
     EXPECT_EQ(serial.storage.partial_segments_written,
-              parallel.storage.partial_segments_written)
+              again.storage.partial_segments_written)
         << "threads=" << threads;
-    EXPECT_EQ(ToMultiset(AllResults(serial)), ToMultiset(AllResults(parallel)))
+    EXPECT_EQ(ToMultiset(AllResults(serial)), ToMultiset(AllResults(again)))
         << "threads=" << threads;
   }
 }

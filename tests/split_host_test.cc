@@ -135,6 +135,84 @@ TEST_F(SplitHostTest, PauseBuffersAndEmitsMarkerAndAck) {
   EXPECT_EQ(coordinator_inbox_[1], MessageType::kRoutingUpdated);
 }
 
+TEST_F(SplitHostTest, MixedBatchForwardsOnlyTheRoutedTuples) {
+  SplitHost host(BaseConfig(), {0, 0, 1, 1}, &network_);
+  PausePartitions pause;
+  pause.relocation_id = 5;
+  pause.partitions = {0};
+  pause.sender_node = 0;
+  Message m;
+  m.type = MessageType::kPausePartitions;
+  m.from = 10;
+  m.to = 20;
+  m.payload = pause;
+  host.OnMessage(0, m);
+  network_.DeliverUntil(10);
+
+  // Routed, paused, routed: one engine receives the two routed tuples
+  // and the paused one stays buffered, wherever it sits in the batch.
+  Feed(&host, 11, 0, {TupleFor(0, 1, 1), TupleFor(0, 2, 0), TupleFor(0, 3, 1)});
+  EXPECT_EQ(engine0_tuples_, 2);
+  EXPECT_EQ(host.total_buffered(), 1);
+}
+
+TEST_F(SplitHostTest, BatchesGoOutInEngineThenStreamOrder) {
+  struct Batch {
+    NodeId engine;
+    StreamId stream;
+    std::vector<int64_t> seqs;
+    bool operator==(const Batch& o) const {
+      return engine == o.engine && stream == o.stream && seqs == o.seqs;
+    }
+  };
+  std::vector<Batch> log;
+  for (NodeId engine : {0, 1}) {
+    network_.RegisterNode(engine, [&log, engine](Tick, const Message& m) {
+      if (m.type != MessageType::kTupleBatch) return;
+      const auto& batch = std::get<TupleBatch>(m.payload);
+      Batch b{engine, batch.stream_id, {}};
+      for (const Tuple& t : batch.tuples) b.seqs.push_back(t.seq);
+      log.push_back(b);
+    });
+  }
+  SplitHost host(BaseConfig(), {0, 0, 1, 1}, &network_);
+  PausePartitions pause;
+  pause.relocation_id = 5;
+  pause.partitions = {0, 2};
+  pause.sender_node = 0;
+  Message m;
+  m.type = MessageType::kPausePartitions;
+  m.from = 10;
+  m.to = 20;
+  m.payload = pause;
+  host.OnMessage(0, m);
+  network_.DeliverUntil(10);
+  Feed(&host, 11, 1, {TupleFor(1, 1, 2), TupleFor(1, 2, 0)});
+  Feed(&host, 12, 0, {TupleFor(0, 3, 0), TupleFor(0, 4, 2)});
+  ASSERT_EQ(host.total_buffered(), 4);
+  log.clear();
+
+  // The release holds both streams, all for the new owner (engine 0):
+  // one batch per stream, in stream order, each in arrival order.
+  UpdateRouting update;
+  update.relocation_id = 5;
+  update.partitions = {0, 2};
+  update.new_owner = 0;
+  Message um;
+  um.type = MessageType::kUpdateRouting;
+  um.from = 10;
+  um.to = 20;
+  um.payload = update;
+  host.OnMessage(20, um);
+  network_.DeliverUntil(30);
+  EXPECT_EQ(log, (std::vector<Batch>{{0, 0, {3, 4}}, {0, 1, {1, 2}}}));
+
+  // Fresh tuples of one stream split across both engines.
+  log.clear();
+  Feed(&host, 31, 0, {TupleFor(0, 5, 3), TupleFor(0, 6, 1), TupleFor(0, 7, 3)});
+  EXPECT_EQ(log, (std::vector<Batch>{{0, 0, {6}}, {1, 0, {5, 7}}}));
+}
+
 TEST_F(SplitHostTest, SelectionAppliesOnlyToFreshTuples) {
   SplitHostConfig config = BaseConfig();
   SelectPredicate band;

@@ -12,10 +12,10 @@ namespace {
 using testing::SmallClusterConfig;
 
 /// The observability-plane determinism contract: the structured trace is
-/// a pure function of the configuration — byte-identical across thread
-/// counts and across reruns — because events buffer per lane (appended
-/// only by the task stepping that node) and merge on the thread-free key
-/// (tick, lane, per-lane emit order).
+/// a pure function of the configuration — byte-identical across reruns
+/// and cleanup worker counts — because events buffer per lane and merge
+/// on the key (tick, lane, per-lane emit order), and the cleanup spans
+/// are emitted from the cleanup stats, which merge in partition order.
 
 ClusterConfig TracedConfig() {
   ClusterConfig config = SmallClusterConfig();
@@ -34,7 +34,7 @@ std::string TraceJsonFor(const ClusterConfig& config) {
   return cluster.tracer()->ToChromeJson();
 }
 
-TEST(TraceDeterminismTest, ByteIdenticalAcrossThreadCounts) {
+TEST(TraceDeterminismTest, ByteIdenticalAcrossCleanupWorkerCounts) {
   ClusterConfig config = TracedConfig();
   config.num_threads = 1;
   const std::string serial = TraceJsonFor(config);
@@ -49,6 +49,7 @@ TEST(TraceDeterminismTest, ByteIdenticalAcrossThreadCounts) {
 
 TEST(TraceDeterminismTest, ByteIdenticalOnRerun) {
   ClusterConfig config = TracedConfig();
+  EXPECT_EQ(TraceJsonFor(config), TraceJsonFor(config));
   config.num_threads = 2;
   EXPECT_EQ(TraceJsonFor(config), TraceJsonFor(config));
 }
